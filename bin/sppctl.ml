@@ -388,10 +388,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 4096 & info [ "cache-cap" ] ~docv:"N" ~doc)
   in
-  let no_cache_arg =
-    let doc = "Disable the read cache (same as --cache-cap 0)." in
-    Arg.(value & flag & info [ "no-cache" ] ~doc)
-  in
   let replicas_arg =
     let doc =
       "Warm replica stacks per shard. 0 disables replication; with N > \
@@ -450,12 +446,12 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR" ~doc)
   in
-  let run variant engine nshards batch_cap ops window cache_cap no_cache
-      replicas ack_policy slots rebalance zipf stats_table listen =
+  let run variant engine nshards batch_cap ops window cache_cap replicas
+      ack_policy slots rebalance zipf stats_table listen =
     let open Spp_shard in
     let open Spp_benchlib in
     let nshards = max 1 nshards and window = max 1 window in
-    let cache_cap = if no_cache then 0 else max 0 cache_cap in
+    let cache_cap = max 0 cache_cap in
     let policy =
       match Replica.ack_policy_of_string ack_policy with
       | Some p -> p
@@ -470,19 +466,10 @@ let serve_cmd =
       else Some { Replica.default_config with replicas; policy }
     in
     let t =
-      if slots > 0 then
-        Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~cache_cap ~engine
-          ~nslots:slots ~nshards variant
-      else
-        Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~cache_cap ~engine
-          ~nshards variant
+      Shard_bench.stack ~variant ~engine ~cache_cap
+        ?nslots:(if slots > 0 then Some slots else None)
+        ~tracking:true nshards
     in
-    for i = 0 to nshards - 1 do
-      Spp_sim.Memdev.set_tracking
-        (Spp_pmdk.Pool.dev (Shard.shard_access (Shard.shard t i)).Spp_access.pool)
-        true
-    done;
-    Shard.reset_stats t;
     let sv = Serve.create ~batch_cap ?replication t in
     match listen with
     | Some addrstr ->
@@ -513,21 +500,18 @@ let serve_cmd =
       else fun () -> Random.State.int st 512
     in
     let value = String.make 256 'v' in
-    let q = Queue.create () in
+    let w = Shard_bench.serve_window sv window in
     let t0 = Bench_util.now_mono () in
     for n = 1 to ops do
-      if Queue.length q >= window then ignore (Serve.await sv (Queue.pop q));
       let key = Printf.sprintf "key-%04d" (next_key ()) in
-      let req =
-        if Random.State.int st 4 = 3 then Serve.Get key
-        else Serve.Put { key; value }
-      in
-      Queue.push (Serve.submit sv req) q;
+      Shard_bench.push w
+        (if Random.State.int st 4 = 3 then Serve.Get key
+         else Serve.Put { key; value });
       match rb with
       | Some rb when n mod 512 = 0 -> ignore (Rebalance.tick rb)
       | _ -> ()
     done;
-    Queue.iter (fun tk -> ignore (Serve.await sv tk)) q;
+    Shard_bench.drain w;
     let wall = Bench_util.now_mono () -. t0 in
     Serve.stop sv;
     Printf.printf
@@ -637,9 +621,9 @@ let serve_cmd =
           through a versioned slot table (--slots); --rebalance \
           live-migrates hot slots between shards while serving")
     Term.(const run $ variant_arg $ engine_arg $ shards_arg $ batch_cap_arg
-          $ serve_ops_arg $ window_arg $ cache_cap_arg $ no_cache_arg
-          $ replicas_arg $ ack_policy_arg $ slots_arg $ rebalance_arg
-          $ zipf_arg $ stats_table_arg $ listen_arg)
+          $ serve_ops_arg $ window_arg $ cache_cap_arg $ replicas_arg
+          $ ack_policy_arg $ slots_arg $ rebalance_arg $ zipf_arg
+          $ stats_table_arg $ listen_arg)
 
 (* failover *)
 
@@ -682,10 +666,7 @@ let failover_cmd =
       { Replica.default_config with
         replicas = max 1 replicas; policy; drop_rate }
     in
-    let t =
-      Shard.create ~nbuckets:512 ~pool_size:(1 lsl 22) ~engine ~nshards
-        variant
-    in
+    let t = Shard_bench.stack ~variant ~engine ~pool_size:(1 lsl 22) nshards in
     let sv = Serve.create ~batch_cap:32 ~replication:cfg t in
     let st = Random.State.make [| 0xFA11 |] in
     let value = String.make 128 'v' in
@@ -695,15 +676,7 @@ let failover_cmd =
       else Serve.Put { key; value }
     in
     let window = 64 in
-    let q = Queue.create () in
-    let submit req =
-      if Queue.length q >= window then ignore (Serve.await sv (Queue.pop q));
-      Queue.push (Serve.submit sv req) q
-    in
-    let drain () =
-      Queue.iter (fun tk -> ignore (Serve.await sv tk)) q;
-      Queue.clear q
-    in
+    let w = Shard_bench.serve_window sv window in
     let half = ops / 2 in
     Printf.printf
       "%d shard(s), %d replica(s)/shard, %s engine, %s acks, %.0f%% \
@@ -711,8 +684,8 @@ let failover_cmd =
       nshards cfg.Replica.replicas (Shard.engine_name t)
       (Replica.ack_policy_to_string policy)
       (drop_rate *. 100.);
-    for _ = 1 to half do submit (fresh_req ()) done;
-    drain ();
+    for _ = 1 to half do Shard_bench.push w (fresh_req ()) done;
+    Shard_bench.drain w;
     List.iter
       (fun s ->
         Printf.printf
@@ -722,8 +695,7 @@ let failover_cmd =
           s.Replica.rs_seq s.Replica.rs_ops s.Replica.rs_acked_seq)
       (Serve.replication_stats sv);
     print_endline "powering off shard 0's primary device";
-    Spp_sim.Memdev.power_off
-      (Spp_pmdk.Pool.dev (Shard.shard_access (Shard.shard t 0)).Spp_access.pool);
+    Spp_sim.Memdev.power_off (Shard_bench.dev_of t 0);
     (* drain a burst against the dead primary: shard 0's share must
        resolve [Failed Failed_over], not hang, while the other shards
        keep serving *)
@@ -745,8 +717,8 @@ let failover_cmd =
       "promoted replica %d of shard 0 in %.1f ms: sealed acked prefix = \
        %d commits / %d ops\n"
       p.Replica.pr_replica (dt *. 1e3) p.Replica.pr_seq p.Replica.pr_ops;
-    for _ = half + burst + 1 to ops do submit (fresh_req ()) done;
-    drain ();
+    for _ = half + burst + 1 to ops do Shard_bench.push w (fresh_req ()) done;
+    Shard_bench.drain w;
     Serve.stop sv;
     let h = Serve.merged_hist sv in
     Printf.printf
@@ -849,10 +821,7 @@ let netbench_cmd =
       match connect with
       | Some a -> ((fun () -> ()), Net_server.parse_addr a)
       | None ->
-        let t =
-          Shard.create ~nbuckets:512 ~pool_size:(1 lsl 24) ~engine
-            ~nshards:(max 1 nshards) variant
-        in
+        let t = Shard_bench.stack ~variant ~engine (max 1 nshards) in
         let sv = Serve.create ~batch_cap:32 t in
         let sock =
           Filename.concat (Filename.get_temp_dir_name ())

@@ -6,7 +6,12 @@
    one [Domain] per shard. Both modes execute the identical per-shard
    streams against identically constructed stores, so the per-shard op
    results — op/hit/put counts and an order-sensitive digest of every
-   get — must match bit for bit; only the wall clock may differ. *)
+   get — must match bit for bit; only the wall clock may differ.
+
+   The second half holds the serving-stack helpers that bench/, sppctl
+   and the tests share: the stack builder, the windowed [Serve] driver,
+   the deterministic async run, the durable-restart check and the
+   correctness-gate ledger. *)
 
 open Spp_benchlib
 
@@ -70,18 +75,31 @@ let gen_ops ?(scan_pct = 0) ?(scan_span = 16) ?(scan_limit = 16) ~seed ~ops
     in
     { o_key = Spp_pmemkv.Db_bench.key_of_int idx; o_kind = kind })
 
-(* Route a global stream into per-shard streams, preserving program
-   order within each shard. Partitioning depends only on the shard
-   count, so a sequential and a parallel store of equal [nshards] see
-   identical streams. *)
-let partition ~nshards ops =
+(* Route any stream by [key] into per-shard streams, program order kept
+   within each shard. Partitioning depends only on the shard count, so
+   two stores of equal [nshards] see identical streams. [reassemble] is
+   its inverse on the per-shard replies, putting them back into send
+   order. *)
+let partition_by ~key ~nshards xs =
   let buckets = Array.make nshards [] in
   Array.iter
-    (fun op ->
-      let s = Shard.shard_of_key ~nshards op.o_key in
-      buckets.(s) <- op :: buckets.(s))
-    ops;
+    (fun x ->
+      let s = Shard.shard_of_key ~nshards (key x) in
+      buckets.(s) <- x :: buckets.(s))
+    xs;
   Array.map (fun l -> Array.of_list (List.rev l)) buckets
+
+let reassemble ~key ~nshards xs per_shard =
+  let cursors = Array.make nshards 0 in
+  Array.map
+    (fun x ->
+      let s = Shard.shard_of_key ~nshards (key x) in
+      let r = per_shard.(s).(cursors.(s)) in
+      cursors.(s) <- cursors.(s) + 1;
+      r)
+    xs
+
+let partition ~nshards ops = partition_by ~key:(fun o -> o.o_key) ~nshards ops
 
 let preload t ~keys =
   for i = 0 to keys - 1 do
@@ -267,3 +285,113 @@ let explain_divergence a b =
     in
     go 0
   end
+
+(* ------------------------------------------------------------------ *)
+(* Serving-stack helpers shared by bench/, sppctl and the tests          *)
+(* ------------------------------------------------------------------ *)
+
+let dev_of t i = Spp_pmdk.Pool.dev (Shard.shard_access (Shard.shard t i)).Spp_access.pool
+
+(* The bench stack: [nshards] shards of 512 buckets, Memdev store
+   tracking on every shard if asked, [keys] preloaded, stats zeroed. *)
+let stack ?(variant = Spp_access.Spp) ?engine ?cache_cap ?nslots
+    ?(pool_size = 1 lsl 24) ?(tracking = false) ?(keys = 0) nshards =
+  let t =
+    Shard.create ~nbuckets:512 ~pool_size ?cache_cap ?engine ?nslots ~nshards
+      variant
+  in
+  if tracking then
+    for i = 0 to nshards - 1 do Spp_sim.Memdev.set_tracking (dev_of t i) true done;
+  preload t ~keys;
+  Shard.reset_stats t;
+  t
+
+(* A submission window: at most [cap] tickets outstanding, a push into a
+   full window first awaits the oldest, [drain] awaits the rest in
+   submission order. Polymorphic so the bookkeeping is testable apart
+   from a live pipeline; [serve_window] is the [Serve] instance. *)
+type ('a, 'tk) window = {
+  cap : int;
+  submit : 'a -> 'tk;
+  await : 'tk -> unit;
+  pending : 'tk Queue.t;
+}
+
+let window ~cap ~submit ~await = { cap; submit; await; pending = Queue.create () }
+
+let push w x =
+  if Queue.length w.pending >= w.cap then w.await (Queue.pop w.pending);
+  Queue.push (w.submit x) w.pending
+
+let drain w =
+  Queue.iter w.await w.pending;
+  Queue.clear w.pending
+
+let serve_window sv cap =
+  window ~cap ~submit:(Serve.submit sv) ~await:(fun tk -> ignore (Serve.await sv tk))
+
+(* Requests [lo, hi) of [reqs] through one window. *)
+let drive ?(lo = 0) ?hi sv ~window reqs =
+  let hi = Option.value hi ~default:(Array.length reqs) in
+  let w = serve_window sv window in
+  for i = lo to hi - 1 do push w reqs.(i) done;
+  drain w
+
+(* One domain per client stream, each through its own window; the wall
+   seconds from spawn to join. *)
+let drive_clients sv ~window per_client =
+  let t0 = Bench_util.now_mono () in
+  Array.map (fun reqs -> Domain.spawn (fun () -> drive sv ~window reqs)) per_client
+  |> Array.iter Domain.join;
+  Bench_util.now_mono () -. t0
+
+(* The async pipeline made deterministic — fixed batching, every stream
+   pre-enqueued before the workers start — so its replies and all
+   Space/Memdev accounting can be compared bit for bit with
+   [Serve.run_sequential] on an identically built store. Keyed requests
+   go through the router; a scan, which has no routing key, enters its
+   stream's shard directly. *)
+let run_async t ~batch_cap streams =
+  let sv = Serve.create ~batch_cap ~adaptive:false ~autostart:false t in
+  let submit i = function
+    | Serve.Scan _ as r -> Serve.submit_to sv i r
+    | r -> Serve.submit sv r
+  in
+  let tickets = Array.mapi (fun i s -> Array.map (submit i) s) streams in
+  Serve.start sv;
+  let replies = Array.map (Array.map (Serve.await sv)) tickets in
+  Serve.stop sv;
+  replies
+
+let replies_agree a b =
+  Array.for_all2 (fun x y -> Serve.digest_replies x = Serve.digest_replies y) a b
+
+(* Restart every shard from its durable bytes alone: snapshot the
+   device, reopen it through recovery, reattach the engine from the
+   parked root, and read back the entry count and keys [0, keys). [None]
+   for a shard whose image fails recovery. Two distinct pools never
+   match byte for byte (the uuid is in the header and every oid), so
+   this is how two runs' durable states are compared. *)
+let durable_restart t ~keys =
+  Array.init (Shard.nshards t) (fun i ->
+    let sh = Shard.shard t i in
+    let img = Spp_sim.Memdev.durable_snapshot (dev_of t i) in
+    let dev = Spp_sim.Memdev.of_image ~name:(Printf.sprintf "restart%d" i) img in
+    match Spp_pmdk.Pool.open_dev (Spp_sim.Space.create ()) ~base:4096 dev with
+    | Error _ -> None
+    | Ok (pool, _) ->
+      let kv =
+        Spp_pmemkv.Engine.attach (Shard.engine t)
+          (Spp_access.attach (Spp_pmdk.Pool.space pool) pool)
+          ~root:(Spp_pmemkv.Engine.root_oid (Shard.shard_kv sh))
+      in
+      Some
+        ( Spp_pmemkv.Engine.count_all kv,
+          Array.init keys (fun k ->
+            Spp_pmemkv.Engine.get kv (Spp_pmemkv.Db_bench.key_of_int k)) ))
+
+(* Correctness-gate ledger: a run records every gate it checks, and any
+   failed one turns into a non-zero exit status. *)
+let record_gate failed ~name ok = if ok then failed else failed @ [ name ]
+
+let exit_status failed = if failed = [] then 0 else 1

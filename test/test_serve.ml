@@ -683,26 +683,11 @@ let migration_differential engine () =
      merged map equal across the two runs *)
   let recovered t =
     let per_shard =
-      Array.init nshards (fun i ->
-        let sh = Shard.shard t i in
-        let img =
-          Spp_sim.Memdev.durable_snapshot
-            (Spp_pmdk.Pool.dev (Shard.shard_access sh).Spp_access.pool)
-        in
-        let dev =
-          Spp_sim.Memdev.of_image ~name:(Printf.sprintf "mig-diff%d" i) img
-        in
-        let space = Spp_sim.Space.create () in
-        match Spp_pmdk.Pool.open_dev space ~base:4096 dev with
-        | Error _ -> Alcotest.fail "durable image failed recovery"
-        | Ok (pool', _) ->
-          let a' = Spp_access.attach (Spp_pmdk.Pool.space pool') pool' in
-          let map' =
-            Spp_pmemkv.Engine.attach (Shard.engine t) a'
-              ~root:(Spp_pmemkv.Engine.root_oid (Shard.shard_kv sh))
-          in
-          Array.init universe (fun k ->
-            Spp_pmemkv.Engine.get map' (key_of k)))
+      Array.map
+        (function
+          | None -> Alcotest.fail "durable image failed recovery"
+          | Some (_, contents) -> contents)
+        (Shard_bench.durable_restart t ~keys:universe)
     in
     Array.init universe (fun k ->
       let holders =

@@ -305,6 +305,86 @@ let test_parallel_rerun_deterministic () =
   let b2 = Shard_bench.run t2 ~mode:Shard_bench.Parallel streams in
   check_bool "second round agrees too" true (Shard_bench.results_agree b1 b2)
 
+(* --- Bench harness helpers -------------------------------------------- *)
+
+let mixed_requests n =
+  let st = Random.State.make [| 0x9A27 |] in
+  Array.init n (fun i ->
+    let key = Spp_pmemkv.Db_bench.key_of_int (Random.State.int st 40) in
+    match i mod 3 with
+    | 0 -> Serve.Put { key; value = Printf.sprintf "v%04d" i }
+    | 1 -> Serve.Get key
+    | _ -> Serve.Remove key)
+
+(* Partition a mixed put/get/remove stream, then reassemble: each shard
+   stream keeps program order, and the per-shard replies of a 3-shard
+   store come back in send order — equal to a 1-shard store's replies
+   to the same stream. *)
+let test_partition_reassemble () =
+  let reqs = mixed_requests 600 in
+  let key = Serve.request_key and nshards = 3 in
+  let streams = Shard_bench.partition_by ~key ~nshards reqs in
+  Array.iteri
+    (fun s stream ->
+      Array.iter
+        (fun r ->
+          check_int "request on its key's shard" s
+            (Shard.shard_of_key ~nshards (key r)))
+        stream)
+    streams;
+  check_bool "reassembling the streams themselves restores send order" true
+    (Shard_bench.reassemble ~key ~nshards reqs streams = reqs);
+  let replies n =
+    let t = Shard_bench.stack ~pool_size:(1 lsl 21) ~keys:20 n in
+    Serve.run_sequential t ~batch_cap:8 (Shard_bench.partition_by ~key ~nshards:n reqs)
+  in
+  let sharded = Shard_bench.reassemble ~key ~nshards reqs (replies nshards) in
+  check_int "sharded replies in send order = one-shard replies"
+    (Serve.digest_replies (replies 1).(0)) (Serve.digest_replies sharded)
+
+(* The window never holds more than [cap] tickets, and draining awaits
+   every ticket once, in submission order. *)
+let test_window_bound () =
+  let outstanding = ref 0 and peak = ref 0 and awaited = ref [] in
+  let w =
+    Shard_bench.window ~cap:4
+      ~submit:(fun x ->
+        incr outstanding;
+        peak := max !peak !outstanding;
+        x)
+      ~await:(fun x ->
+        decr outstanding;
+        awaited := x :: !awaited)
+  in
+  for i = 0 to 99 do
+    Shard_bench.push w i;
+    check_bool "at most 4 outstanding" true (!outstanding <= 4)
+  done;
+  Shard_bench.drain w;
+  check_int "window filled to its cap" 4 !peak;
+  check_int "nothing left outstanding" 0 !outstanding;
+  Alcotest.(check (list int)) "every ticket awaited once, in order"
+    (List.init 100 Fun.id) (List.rev !awaited);
+  (* the Serve instance: a [lo, hi) slice through window 8 executes
+     exactly that slice *)
+  let t = Shard_bench.stack ~pool_size:(1 lsl 21) 2 in
+  let sv = Serve.create t in
+  Shard_bench.drive sv ~window:8 ~lo:10 ~hi:90 (mixed_requests 100);
+  Serve.stop sv;
+  check_int "every driven request executed" 80
+    (Array.fold_left (fun a s -> a + s.Serve.ss_ops) 0 (Serve.stats sv))
+
+(* Gate accounting: a failed gate is recorded by name, a later pass does
+   not clear it, and any failure makes the exit status non-zero. *)
+let test_gate_accounting () =
+  let ok = Shard_bench.record_gate [] ~name:"serve/differential" true in
+  check_int "all passed: exit 0" 0 (Shard_bench.exit_status ok);
+  let failed = Shard_bench.record_gate ok ~name:"net/differential/cmap" false in
+  let failed = Shard_bench.record_gate failed ~name:"cache/differential" true in
+  Alcotest.(check (list string)) "failure recorded" [ "net/differential/cmap" ]
+    failed;
+  check_int "a failure exits 1" 1 (Shard_bench.exit_status failed)
+
 let () =
   Alcotest.run "spp_shard"
     [
@@ -337,5 +417,14 @@ let () =
             test_parallel_sequential_differential;
           Alcotest.test_case "parallel reruns deterministic" `Quick
             test_parallel_rerun_deterministic;
+        ] );
+      ( "harness",
+        [
+          Alcotest.test_case "partition then reassemble keeps send order"
+            `Quick test_partition_reassemble;
+          Alcotest.test_case "window bounds outstanding tickets" `Quick
+            test_window_bound;
+          Alcotest.test_case "failed gate exits non-zero" `Quick
+            test_gate_accounting;
         ] );
     ]
