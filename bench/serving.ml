@@ -1,4 +1,4 @@
-(* Serving-stack experiments (ours): the tracking-engine and hot-path
+(* Serving-stack experiments (ours): the tracking and hot-path
    pipeline, domain-parallel scaleout, the async batched pipeline, the
    read cache, failover, ordered scans, resharding and the wire front
    end. Each proves its correctness gate before it reports a number,
@@ -28,16 +28,14 @@ let bar ~min x = if x >= min then Printf.sprintf "(>= %gx: OK)" min
 (* Pipeline microbenchmark: translate / flush / fence paths            *)
 (* ------------------------------------------------------------------ *)
 
-(* Before/after evidence for the fast-path refactor: address translation
-   through the TLB-fronted sorted-array lookup, and the tracking-mode
-   store/flush/fence pipeline under both engines. The List_based engine
-   is the pre-refactor implementation kept selectable precisely for this
-   comparison; the acceptance bar is >= 2x on the flush/fence-heavy
-   workload. *)
+(* Fast-path costs: address translation through the TLB-fronted
+   sorted-array lookup, the tracking-mode store/flush/fence pipeline of
+   the line-indexed Memdev, and uncached engine gets and scans on the
+   lease read path. *)
 
 let pipeline () =
   let open Spp_sim in
-  print_title "Pipeline microbenchmark: translation TLB and tracking engines";
+  print_title "Pipeline microbenchmark: translation TLB and tracking";
   (* -- translation: hot loads through the TLB, with decoy regions so the
         slow path has a real array to search -- *)
   let space = Space.create () in
@@ -69,166 +67,118 @@ let pipeline () =
   jemit ~experiment:"pipeline" ~name:"translate_load" ~metric:"ns_per_op"
     ~unit_:"ns" ~extra:[ ("tlb_hit_rate", Json_out.J_float hit_rate) ]
     ns_translate;
-  (* -- tracking engines: P stores to distinct cachelines, P flushes, one
-        fence — the PMDK commit pattern. The list engine walks all
-        pending stores on every flush (O(P^2) per round); the
-        line-indexed engine touches only the flushed line's bucket. -- *)
-  (* [lines] stays fixed even under --quick: the engines differ in
-     per-round asymptotics, so shrinking the pending set would shrink the
-     very effect being measured. Quick mode scales rounds only. *)
+  (* -- tracking: P stores to distinct cachelines, P flushes, one fence —
+        the PMDK commit pattern. Each flush touches only its line's
+        bucket; the fence drains what was flushed. [lines] stays fixed
+        even under --quick so the pending set per round is the same at
+        either scale; quick mode scales rounds only. -- *)
   let lines = 1024 in
   let rounds = sc 100 in
   let ops_per_run = rounds * ((2 * lines) + 1) in
-  let bench_engine engine =
-    let dev = Memdev.create_persistent ~name:"engine" (1 lsl 20) in
-    Memdev.set_engine dev engine;
-    Memdev.set_tracking dev true;
+  let tdev = Memdev.create_persistent ~name:"tracking" (1 lsl 20) in
+  Memdev.set_tracking tdev true;
+  let t_tracking =
     best_of (fun () ->
       for _ = 1 to rounds do
         for i = 0 to lines - 1 do
-          Memdev.store_word dev ~off:(i * 64) i
+          Memdev.store_word tdev ~off:(i * 64) i
         done;
         for i = 0 to lines - 1 do
-          Memdev.flush dev ~off:(i * 64) ~len:8
+          Memdev.flush tdev ~off:(i * 64) ~len:8
         done;
-        Memdev.fence dev
+        Memdev.fence tdev
       done)
   in
-  let t_list = bench_engine Memdev.List_based in
-  let t_indexed = bench_engine Memdev.Line_indexed in
-  let ns_of t = t /. float_of_int ops_per_run *. 1e9 in
-  let speedup = t_list /. t_indexed in
-  Printf.printf
-    "store/flush/fence     %8.1f ns/op (list engine, pre-refactor)\n\
-     store/flush/fence     %8.1f ns/op (line-indexed engine)\n\
-     engine speedup        %8.2fx %s\n"
-    (ns_of t_list) (ns_of t_indexed) speedup (bar ~min:2. speedup);
-  jemit ~experiment:"pipeline" ~name:"flush_fence/list" ~metric:"ns_per_op"
-    ~unit_:"ns" (ns_of t_list);
+  let ns_tracking = t_tracking /. float_of_int ops_per_run *. 1e9 in
+  Printf.printf "store/flush/fence     %8.1f ns/op (line-indexed tracking)\n"
+    ns_tracking;
   jemit ~experiment:"pipeline" ~name:"flush_fence/line_indexed"
-    ~metric:"ns_per_op" ~unit_:"ns" (ns_of t_indexed);
-  jemit ~experiment:"pipeline" ~name:"flush_fence" ~metric:"speedup" speedup;
-  (* -- hot path: engine gets and scans under the two read paths. The
-        [Lease] path hoists the pointer check and region resolution into
-        lease acquisition and reads each value in a single copy;
-        [Copying] is the pre-lease reference kept selectable exactly for
-        this comparison. Replies are gated bit-identical per engine
-        before numbers are reported; pm_bytes_loaded per get quantifies
-        the copy amplification the lease path removes. -- *)
-  print_subtitle "hot path: uncached gets and scans, copying vs lease";
+    ~metric:"ns_per_op" ~unit_:"ns" ns_tracking;
+  (* -- hot path: uncached engine gets and scans. Leases hoist the
+        pointer check and region resolution into acquisition and read
+        each value in a single copy. Replies are gated against the
+        preloaded contents before numbers are reported; pm_bytes_loaded
+        per get counts whole leased windows (block-op accounting). -- *)
+  print_subtitle "hot path: uncached gets and scans";
   let universe = sc 4_000 in
   let ngets = sc 40_000 in
   let nscans = sc 400 in
-  (* load factor ~4 in both quick and full mode, so the chain walk the
-     lease path accelerates is exercised the same way at either scale;
-     1 KiB values are the YCSB record size *)
+  let scan_limit = 64 in
+  (* load factor ~4 in both quick and full mode, so the chain walk is
+     exercised the same way at either scale; 1 KiB values are the YCSB
+     record size *)
   let nbuckets = max 64 (universe / 4) in
   let value = String.make 1024 'v' in
   Printf.printf
     "(Spp variant, %d-key universe, %d B values, %d uncached gets, %d \
-     scans of limit 64)\n"
-    universe (String.length value) ngets nscans;
-  print_row ~w:13
-    [ "engine"; "path"; "ns/get"; "B loaded/get"; "ns/scan entry";
-      "get speedup" ];
+     scans of limit %d)\n"
+    universe (String.length value) ngets nscans scan_limit;
+  print_row ~w:13 [ "engine"; "ns/get"; "B loaded/get"; "ns/scan entry" ];
   List.iter
     (fun ename ->
       let spec = Option.get (Spp_pmemkv.Engines.of_name ename) in
-      let run path =
-        Gc.compact ();
-        Spp_pmemkv.Engine.with_read_path path (fun () ->
-          let a =
-            Spp_access.create ~pool_size:(1 lsl 25) ~name:("hot-" ^ ename)
-              Spp_access.Spp
-          in
-          let kv = Spp_pmemkv.Engine.create ~nbuckets spec a in
-          for k = 0 to universe - 1 do
-            Spp_pmemkv.Engine.put kv ~key:(key_of k) ~value
-          done;
-          let ks = Array.map key_of (keys ~seed:11 ~universe ngets) in
-          let scan_of i =
-            Spp_pmemkv.Engine.scan kv
-              ~lo:(key_of (i * 37 mod universe))
-              ~hi:"~" ~limit:64
-          in
-          (* digest pass: the identical-reply gate rides the exact key
-             and scan streams the timed passes use *)
-          let dig = ref 5381 in
-          let mix v = dig := ((!dig * 131) + Hashtbl.hash v) land max_int in
-          Array.iter (fun k -> mix (Spp_pmemkv.Engine.get kv k)) ks;
-          let entries = ref 0 in
-          for i = 0 to nscans - 1 do
-            let l = scan_of i in
-            entries := !entries + List.length l;
-            List.iter mix l
-          done;
-          let space = Pool.space a.Spp_access.pool in
-          let get_pass () =
-            Array.iter (fun k -> ignore (Spp_pmemkv.Engine.get kv k)) ks
-          in
-          Space.reset_stats space;
-          let t_first, () = time get_pass in
-          let bytes_per_get =
-            float_of_int (Space.stats space).Space.pm_bytes_loaded
-            /. float_of_int ngets
-          in
-          let t_get = min t_first (best_of ~n:2 get_pass) in
-          let t_scan =
-            best_of (fun () ->
-              for i = 0 to nscans - 1 do
-                ignore (scan_of i)
-              done)
-          in
-          ( !dig,
-            t_get /. float_of_int ngets *. 1e9,
-            bytes_per_get,
-            t_scan /. float_of_int (max 1 !entries) *. 1e9 ))
+      Gc.compact ();
+      let a =
+        Spp_access.create ~pool_size:(1 lsl 25) ~name:("hot-" ^ ename)
+          Spp_access.Spp
       in
-      let dig_c, ns_get_c, bytes_c, ns_scan_c =
-        run Spp_pmemkv.Engine.Copying in
-      let dig_l, ns_get_l, bytes_l, ns_scan_l =
-        run Spp_pmemkv.Engine.Lease in
+      let kv = Spp_pmemkv.Engine.create ~nbuckets spec a in
+      for k = 0 to universe - 1 do
+        Spp_pmemkv.Engine.put kv ~key:(key_of k) ~value
+      done;
+      let ks = Array.map key_of (keys ~seed:11 ~universe ngets) in
+      let scan_of i =
+        Spp_pmemkv.Engine.scan kv
+          ~lo:(key_of (i * 37 mod universe))
+          ~hi:"~" ~limit:scan_limit
+      in
+      (* model pass over the exact key and scan streams the timed passes
+         use: keys are zero-padded, so the scan from key j ascends
+         through keys j, j+1, ... and holds min(limit, universe - j) *)
+      let gets_ok =
+        Array.for_all (fun k -> Spp_pmemkv.Engine.get kv k = Some value) ks
+      in
+      let entries = ref 0 in
+      let scans_ok = ref true in
+      for i = 0 to nscans - 1 do
+        let j = i * 37 mod universe in
+        let l = scan_of i in
+        entries := !entries + List.length l;
+        scans_ok :=
+          !scans_ok
+          && l = List.init (min scan_limit (universe - j))
+                   (fun d -> (key_of (j + d), value))
+      done;
       let nm what = Printf.sprintf "hotpath/%s/%s" ename what in
-      gate ~experiment:"pipeline" ~name:(nm "differential")
-        ~what:(ename ^ ": copying vs lease replies") ~pass:"bit-identical"
-        (dig_c = dig_l);
-      let get_speedup = ns_get_c /. Float.max ns_get_l 1e-9 in
-      let scan_speedup = ns_scan_c /. Float.max ns_scan_l 1e-9 in
-      (* Copy amplification of the copying path: every PM byte it loads
-         is materialized into a fresh DRAM buffer, so bytes-loaded per
-         get over the value size is how many bytes it copies per byte
-         returned. The lease path copies the value exactly once; its
-         bytes-loaded count whole leased windows (block-op accounting),
-         not copies. *)
-      let amplification = bytes_c /. float_of_int (String.length value) in
-      print_row ~w:13
-        [ ename; "copying"; f0 ns_get_c; f0 bytes_c; f1 ns_scan_c; "1.00x" ];
-      print_row ~w:13
-        [ ename; "lease"; f0 ns_get_l; f0 bytes_l; f1 ns_scan_l;
-          Printf.sprintf "%.2fx %s" get_speedup (bar ~min:2. get_speedup) ];
-      Printf.printf
-        "  %s copying loads+copies %.0f B/get for a %d B value (%.2fx copy \
-         amplification); lease copies the value once (%.0f B/get windowed). \
-         scan %.2fx\n"
-        ename bytes_c (String.length value) amplification bytes_l
-        scan_speedup;
-      let get path ns bytes =
-        jemit ~experiment:"pipeline" ~name:(nm ("get/" ^ path))
-          ~metric:"ns_per_get" ~unit_:"ns"
-          ~extra:[ ("pm_bytes_per_get", Json_out.J_float bytes) ] ns
-      and scan path ns =
-        jemit ~experiment:"pipeline" ~name:(nm ("scan/" ^ path))
-          ~metric:"ns_per_scanned_entry" ~unit_:"ns" ns
+      gate ~experiment:"pipeline" ~name:(nm "model")
+        ~what:(ename ^ ": gets and scans vs the preloaded contents")
+        ~pass:"every reply matches" (gets_ok && !scans_ok);
+      let space = Pool.space a.Spp_access.pool in
+      let get_pass () =
+        Array.iter (fun k -> ignore (Spp_pmemkv.Engine.get kv k)) ks
       in
-      get "copying" ns_get_c bytes_c;
-      get "lease" ns_get_l bytes_l;
-      jemit ~experiment:"pipeline" ~name:(nm "get") ~metric:"speedup"
-        ~extra:[ ("copy_amplification", Json_out.J_float amplification) ]
-        get_speedup;
-      scan "copying" ns_scan_c;
-      scan "lease" ns_scan_l;
-      jemit ~experiment:"pipeline" ~name:(nm "scan") ~metric:"speedup"
-        scan_speedup)
+      Space.reset_stats space;
+      let t_first, () = time get_pass in
+      let bytes_per_get =
+        float_of_int (Space.stats space).Space.pm_bytes_loaded
+        /. float_of_int ngets
+      in
+      let t_get = min t_first (best_of ~n:2 get_pass) in
+      let t_scan =
+        best_of (fun () ->
+          for i = 0 to nscans - 1 do
+            ignore (scan_of i)
+          done)
+      in
+      let ns_get = t_get /. float_of_int ngets *. 1e9 in
+      let ns_scan = t_scan /. float_of_int (max 1 !entries) *. 1e9 in
+      print_row ~w:13 [ ename; f0 ns_get; f0 bytes_per_get; f1 ns_scan ];
+      jemit ~experiment:"pipeline" ~name:(nm "get/lease") ~metric:"ns_per_get"
+        ~unit_:"ns"
+        ~extra:[ ("pm_bytes_per_get", Json_out.J_float bytes_per_get) ]
+        ns_get;
+      jemit ~experiment:"pipeline" ~name:(nm "scan/lease")
+        ~metric:"ns_per_scanned_entry" ~unit_:"ns" ns_scan)
     [ "cmap"; "btree" ]
 
 (* ------------------------------------------------------------------ *)
@@ -333,10 +283,10 @@ let scaleout () =
 
 (* Three parts. (1) Fence amortization, deterministic and timing-free:
    the sequential baseline chunked at each batch cap, fences/op from the
-   Memdev counters, under both tracking engines — the acceptance bar is
-   cap 32 <= 1/4 of cap 1. (2) Differential: the async pipeline in
-   deterministic mode (fixed batching, pre-enqueued) must be
-   bit-identical to that baseline before any live number is reported.
+   Memdev counters — the acceptance bar is cap 32 <= 1/4 of cap 1.
+   (2) Differential: the async pipeline in deterministic mode (fixed
+   batching, pre-enqueued) must be bit-identical to that baseline before
+   any live number is reported.
    (3) Live sweep: batch cap x offered load (per-client submission
    window) x shard count, with adaptive batching and per-request
    latency percentiles from the shard histograms. *)
@@ -359,45 +309,39 @@ let serve () =
       else Serve.Put { key; value })
   in
   let build ?tracking nshards = Shard_bench.stack ?tracking ~keys:universe nshards in
-  (* -- part 1: fence amortization, both engines -- *)
+  (* -- part 1: fence amortization -- *)
   print_subtitle "group-commit fence amortization (sequential path, 2 shards)";
-  print_row ~w:14
-    ("engine" :: List.map (Printf.sprintf "cap %d") caps @ [ "ratio 32/1" ]);
+  print_row ~w:14 (List.map (Printf.sprintf "cap %d") caps @ [ "ratio 32/1" ]);
   let streams2 = split 2 (gen_requests ~seed:7 total_ops) in
+  let per_cap =
+    List.map
+      (fun cap ->
+        let t = build ~tracking:true 2 in
+        ignore (Serve.run_sequential t ~batch_cap:cap streams2);
+        let c = Shard.merged_counters t in
+        let f = float_of_int c.Spp_sim.Memdev.fences /. float_of_int total_ops in
+        (cap, (f, c)))
+      caps
+  in
+  let ratio =
+    fst (List.assoc 32 per_cap) /. Float.max (fst (List.assoc 1 per_cap)) 1e-9
+  in
+  print_row ~w:14
+    (List.map (fun (_, (f, _)) -> Printf.sprintf "%.3f" f) per_cap
+     @ [ Printf.sprintf "%.3f %s" ratio
+           (if ratio <= 0.25 then "(<= 1/4: OK)" else "(above the bar!)") ]);
   List.iter
-    (fun (ename, engine) ->
-      let per_cap =
-        List.map
-          (fun cap ->
-            Spp_sim.Memdev.with_default_engine engine (fun () ->
-              let t = build ~tracking:true 2 in
-              ignore (Serve.run_sequential t ~batch_cap:cap streams2);
-              let c = Shard.merged_counters t in
-              (cap, (float_of_int c.Spp_sim.Memdev.fences /. float_of_int total_ops, c))))
-          caps
-      in
-      let ratio =
-        fst (List.assoc 32 per_cap) /. Float.max (fst (List.assoc 1 per_cap)) 1e-9
-      in
-      print_row ~w:14
-        (ename
-         :: List.map (fun (_, (f, _)) -> Printf.sprintf "%.3f" f) per_cap
-         @ [ Printf.sprintf "%.3f %s" ratio
-               (if ratio <= 0.25 then "(<= 1/4: OK)" else "(above the bar!)") ]);
-      List.iter
-        (fun (cap, (f, (c : Spp_sim.Memdev.counters))) ->
-          jemit ~experiment:"serve"
-            ~name:(Printf.sprintf "amortization/%s/cap%d" ename cap)
-            ~metric:"fences_per_op"
-            ~extra:
-              [ ("fences_saved", Json_out.J_int c.fences_saved);
-                ("batched_ops", Json_out.J_int c.batched_ops) ]
-            f)
-        per_cap;
-      jemit ~experiment:"serve" ~name:("amortization/" ^ ename)
-        ~metric:"fence_ratio_32_vs_1" ratio)
-    [ ("line_indexed", Spp_sim.Memdev.Line_indexed);
-      ("list_based", Spp_sim.Memdev.List_based) ];
+    (fun (cap, (f, (c : Spp_sim.Memdev.counters))) ->
+      jemit ~experiment:"serve"
+        ~name:(Printf.sprintf "amortization/line_indexed/cap%d" cap)
+        ~metric:"fences_per_op"
+        ~extra:
+          [ ("fences_saved", Json_out.J_int c.fences_saved);
+            ("batched_ops", Json_out.J_int c.batched_ops) ]
+        f)
+    per_cap;
+  jemit ~experiment:"serve" ~name:"amortization/line_indexed"
+    ~metric:"fence_ratio_32_vs_1" ratio;
   (* -- part 2: async pipeline == sequential baseline, bit for bit -- *)
   let nd_max = List.fold_left max 1 shard_counts in
   let streams = split nd_max (gen_requests ~seed:7 total_ops) in

@@ -84,6 +84,13 @@ let reader c =
   fail_all_locked c conn_lost;
   Mutex.unlock c.k_pmu
 
+(* Half-close, join the reader, close the fd. *)
+let close_conn c =
+  (try Unix.shutdown c.k_fd Unix.SHUTDOWN_SEND with _ -> ());
+  Option.iter Domain.join c.k_reader;
+  c.k_reader <- None;
+  try Unix.close c.k_fd with _ -> ()
+
 let connect ?(pool = 1) ?(cork = false) addr =
   if pool < 1 then invalid_arg "Net_client.connect: pool must be >= 1";
   let mk () =
@@ -104,11 +111,24 @@ let connect ?(pool = 1) ?(cork = false) addr =
         k_done = Condition.create (); k_pending = Hashtbl.create 64;
         k_corr = 0; k_alive = true; k_reader = None }
     in
-    c.k_reader <- Some (Domain.spawn (fun () -> reader c));
+    (try c.k_reader <- Some (Domain.spawn (fun () -> reader c))
+     with e ->
+       (try Unix.close fd with _ -> ());
+       raise e);
     c
   in
-  { nc_conns = Array.init pool (fun _ -> mk ());
-    nc_next = Atomic.make 0; nc_closed = false }
+  (* a failed connection (refused, or no domain left for its reader)
+     releases the pool members already made before re-raising *)
+  let conns = ref [] in
+  (try
+     for _ = 1 to pool do
+       conns := mk () :: !conns
+     done
+   with e ->
+     List.iter close_conn !conns;
+     raise e);
+  { nc_conns = Array.of_list (List.rev !conns); nc_next = Atomic.make 0;
+    nc_closed = false }
 
 let rec write_all fd b off len =
   if len > 0 then begin
@@ -219,10 +239,5 @@ let close t =
         if c.k_cork then flush_conn c;
         try Unix.shutdown c.k_fd Unix.SHUTDOWN_SEND with _ -> ())
       t.nc_conns;
-    Array.iter
-      (fun c ->
-        Option.iter Domain.join c.k_reader;
-        c.k_reader <- None;
-        try Unix.close c.k_fd with _ -> ())
-      t.nc_conns
+    Array.iter close_conn t.nc_conns
   end

@@ -247,6 +247,26 @@ let mk_conn fd =
     c_scratch = Bytes.create 1024; c_cmu = Mutex.create ();
     c_work = Condition.create (); c_cq = Queue.create () }
 
+(* Set up one connection's domain pair. The writer goes first: if the
+   reader cannot be spawned (OCaml caps a process at 128 domains), a
+   [C_stop] makes the writer close the fd, and no request was read that
+   would go unanswered. If the writer cannot be spawned, the fd is closed
+   here. Either way the peer sees EOF, nothing is left behind, and the
+   acceptor keeps going. *)
+let spawn_conn t fd =
+  let conn = mk_conn fd in
+  match Domain.spawn (fun () -> writer t conn) with
+  | exception _ -> (try Unix.close fd with _ -> ())
+  | wd ->
+    (match Domain.spawn (fun () -> reader t conn) with
+     | exception _ ->
+       push conn C_stop;
+       Domain.join wd
+     | rd ->
+       Mutex.lock t.ns_cmu;
+       t.ns_conns <- (conn, rd, wd) :: t.ns_conns;
+       Mutex.unlock t.ns_cmu)
+
 let acceptor t =
   let running = ref true in
   while !running do
@@ -260,12 +280,7 @@ let acceptor t =
            (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ())
          | _ -> ());
         Atomic.incr t.ns_accepted;
-        let conn = mk_conn fd in
-        let rd = Domain.spawn (fun () -> reader t conn) in
-        let wd = Domain.spawn (fun () -> writer t conn) in
-        Mutex.lock t.ns_cmu;
-        t.ns_conns <- (conn, rd, wd) :: t.ns_conns;
-        Mutex.unlock t.ns_cmu
+        spawn_conn t fd
       end
   done
 

@@ -168,15 +168,10 @@ val store_oid : t -> off:int -> Oid.t -> unit
     the offset field. Inside a transaction the caller must have
     snapshotted the slot (as in PMDK). *)
 
-val lease_load_oid : t -> Space.lease -> off:int -> Oid.t
-(** Decode a stored oid through a {!Space.lease} window ([off] is the
-    offset within the window): the mode-aware layout of {!load_oid} read
-    with pinned-translation loads, for hot read paths that leased a
-    whole object. *)
-
 val view_load_oid : t -> Space.view -> off:int -> Oid.t
-(** Same layout, read raw through an opened {!Space.view}: the window's
-    checks were already paid at view acquisition. *)
+(** Decode a stored oid through an opened {!Space.view} ([off] is the
+    offset within the view): the mode-aware layout of {!load_oid}, read
+    raw because the window's checks were paid at view acquisition. *)
 
 val load_word : t -> off:int -> int
 val store_word : t -> off:int -> int -> unit

@@ -88,18 +88,9 @@ let with_lock t f =
 let pool t = t.a.Spp_access.pool
 let oid_size t = t.a.Spp_access.oid_size
 
-(* Leaf/item readers, selected by [Engine.read_path] like Cmap's: the
-   lease path reads key/value in a single copy ([Space.read_sub]) and
-   compares descent keys against the device view ([item_cmp]) without
-   materializing candidates; the copying path is the pre-lease
-   double-copy reference kept for before/after benchmarking. *)
-
-let item_key_copying t (it : Oid.t) =
-  let p = pool t in
-  let klen = Pool.load_word p ~off:it.Oid.off in
-  Bytes.to_string
-    (Spp_sim.Space.read_bytes (Pool.space p)
-       (Pool.addr_of_off p (it.Oid.off + 16)) klen)
+(* Leaf/item readers, like Cmap's: key and value are read in a single
+   copy and descent keys are compared against the device view
+   ([item_cmp]) without materializing candidates. *)
 
 (* Whole-item window: in SPP mode every stored oid carries the object's
    durable size (paper §IV-B), so one raw view covers the item's
@@ -111,63 +102,48 @@ let item_view t (it : Oid.t) =
     (Pool.addr_of_off p it.Oid.off) it.Oid.size
 
 let item_key t (it : Oid.t) =
-  match Engine.read_path () with
-  | Engine.Copying -> item_key_copying t it
-  | Engine.Lease ->
-    if it.Oid.size > 0 then begin
-      let v = item_view t it in
-      let klen = Spp_sim.Space.view_word v 0 in
-      Spp_sim.Space.view_string v ~off:16 ~len:klen
-    end
-    else begin
-      let p = pool t in
-      let klen = Pool.load_word p ~off:it.Oid.off in
-      Spp_sim.Space.read_sub (Pool.space p)
-        (Pool.addr_of_off p (it.Oid.off + 16)) klen
-    end
+  if it.Oid.size > 0 then begin
+    let v = item_view t it in
+    let klen = Spp_sim.Space.view_word v 0 in
+    Spp_sim.Space.view_string v ~off:16 ~len:klen
+  end
+  else begin
+    let p = pool t in
+    let klen = Pool.load_word p ~off:it.Oid.off in
+    Spp_sim.Space.read_sub (Pool.space p)
+      (Pool.addr_of_off p (it.Oid.off + 16)) klen
+  end
 
 let item_value t (it : Oid.t) =
-  match Engine.read_path () with
-  | Engine.Copying ->
+  if it.Oid.size > 0 then begin
+    let v = item_view t it in
+    let klen = Spp_sim.Space.view_word v 0 in
+    let vlen = Spp_sim.Space.view_word v 8 in
+    Spp_sim.Space.view_string v ~off:(16 + klen) ~len:vlen
+  end
+  else begin
     let p = pool t in
     let klen = Pool.load_word p ~off:it.Oid.off in
     let vlen = Pool.load_word p ~off:(it.Oid.off + 8) in
-    Bytes.to_string
-      (Spp_sim.Space.read_bytes (Pool.space p)
-         (Pool.addr_of_off p (it.Oid.off + 16 + klen)) vlen)
-  | Engine.Lease ->
-    if it.Oid.size > 0 then begin
-      let v = item_view t it in
-      let klen = Spp_sim.Space.view_word v 0 in
-      let vlen = Spp_sim.Space.view_word v 8 in
-      Spp_sim.Space.view_string v ~off:(16 + klen) ~len:vlen
-    end
-    else begin
-      let p = pool t in
-      let klen = Pool.load_word p ~off:it.Oid.off in
-      let vlen = Pool.load_word p ~off:(it.Oid.off + 8) in
-      Spp_sim.Space.read_sub (Pool.space p)
-        (Pool.addr_of_off p (it.Oid.off + 16 + klen)) vlen
-    end
+    Spp_sim.Space.read_sub (Pool.space p)
+      (Pool.addr_of_off p (it.Oid.off + 16 + klen)) vlen
+  end
 
 (* [String.compare (item_key t it) key] without materializing the item
-   key on the lease path — what the descent ([search_desc]) and the
-   exact-match probes run per candidate. *)
+   key — what the descent ([search_desc]) and the exact-match probes
+   run per candidate. *)
 let item_cmp t (it : Oid.t) key =
-  match Engine.read_path () with
-  | Engine.Copying -> String.compare (item_key_copying t it) key
-  | Engine.Lease ->
-    if it.Oid.size > 0 then begin
-      let v = item_view t it in
-      let klen = Spp_sim.Space.view_word v 0 in
-      Spp_sim.Space.view_compare_string v ~off:16 ~len:klen key
-    end
-    else begin
-      let p = pool t in
-      let klen = Pool.load_word p ~off:it.Oid.off in
-      Spp_sim.Space.compare_string (Pool.space p)
-        (Pool.addr_of_off p (it.Oid.off + 16)) ~len:klen key
-    end
+  if it.Oid.size > 0 then begin
+    let v = item_view t it in
+    let klen = Spp_sim.Space.view_word v 0 in
+    Spp_sim.Space.view_compare_string v ~off:16 ~len:klen key
+  end
+  else begin
+    let p = pool t in
+    let klen = Pool.load_word p ~off:it.Oid.off in
+    Spp_sim.Space.compare_string (Pool.space p)
+      (Pool.addr_of_off p (it.Oid.off + 16)) ~len:klen key
+  end
 
 (* In-memory image of one node, the unit the COW paths work on. The
    arrays are private to the desc, so mutating them never touches PM;
@@ -189,38 +165,24 @@ let load_desc t (oid : Oid.t) =
   let p = pool t in
   let off = oid.Oid.off in
   let osz = oid_size t in
-  match Engine.read_path () with
-  | Engine.Copying ->
-    let n = Pool.load_word p ~off in
-    let leaf = Pool.load_word p ~off:(off + 8) <> 0 in
-    { src = oid; d_leaf = leaf;
-      d_items =
-        Array.init n (fun i ->
-          Pool.load_oid p ~off:(off + items_off t.a + (i * osz)));
-      d_children =
-        (if leaf then [||]
-         else
-           Array.init (n + 1) (fun i ->
-             Pool.load_oid p ~off:(off + children_off + (i * osz)))) }
-  | Engine.Lease ->
-    (* one hoisted check per node: the whole node is opened as a raw
-       view and decoded with bare reads — the descent's dominant cost
-       was one translated load per header/child/item word *)
-    let v =
-      Spp_sim.Space.read_view (Pool.space p) (Pool.addr_of_off p off)
-        (node_size t.a)
-    in
-    let n = Spp_sim.Space.view_word v 0 in
-    let leaf = Spp_sim.Space.view_word v 8 <> 0 in
-    { src = oid; d_leaf = leaf;
-      d_items =
-        Array.init n (fun i ->
-          Pool.view_load_oid p v ~off:(items_off t.a + (i * osz)));
-      d_children =
-        (if leaf then [||]
-         else
-           Array.init (n + 1) (fun i ->
-             Pool.view_load_oid p v ~off:(children_off + (i * osz)))) }
+  (* one hoisted check per node: the whole node is opened as a raw view
+     and decoded with bare reads, not one translated load per
+     header/child/item word *)
+  let v =
+    Spp_sim.Space.read_view (Pool.space p) (Pool.addr_of_off p off)
+      (node_size t.a)
+  in
+  let n = Spp_sim.Space.view_word v 0 in
+  let leaf = Spp_sim.Space.view_word v 8 <> 0 in
+  { src = oid; d_leaf = leaf;
+    d_items =
+      Array.init n (fun i ->
+        Pool.view_load_oid p v ~off:(items_off t.a + (i * osz)));
+    d_children =
+      (if leaf then [||]
+       else
+         Array.init (n + 1) (fun i ->
+           Pool.view_load_oid p v ~off:(children_off + (i * osz)))) }
 
 (* Materialize a desc as a fresh node: batch-allocate, write fields
    directly while unreachable, flush once, note the write for
@@ -283,18 +245,9 @@ let remove_at arr i =
 (* Read paths                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec find t (oid : Oid.t) key =
-  let d = load_desc t oid in
-  let n = Array.length d.d_items in
-  let i = search_desc t d key in
-  if i < n && item_cmp t d.d_items.(i) key = 0 then
-    Some (item_value t d.d_items.(i))
-  else if d.d_leaf then None
-  else find t d.d_children.(i) key
-
-(* Desc-free descent for the lease path: each node is opened as one raw
-   view and only the oids the walk actually touches are decoded — no
-   per-level desc record, no item/children arrays. *)
+(* Desc-free point descent: each node is opened as one raw view and only
+   the oids the walk actually touches are decoded — no per-level desc
+   record, no item/children arrays. *)
 let rec find_lease t (oid : Oid.t) key =
   let p = pool t in
   let v =
@@ -609,7 +562,7 @@ let b_put t bt ~key ~value =
 let b_get t bt key =
   Redo.batch_op_begin bt;
   let root = Pool.batch_load_oid (pool t) bt ~off:t.map_oid.Oid.off in
-  let r = if Oid.is_null root then None else find t root key in
+  let r = if Oid.is_null root then None else find_lease t root key in
   Redo.batch_op_end bt;
   r
 
@@ -702,13 +655,7 @@ let get t key =
   | None ->
     with_lock t (fun () ->
       let root = root_of t in
-      let r =
-        if Oid.is_null root then None
-        else
-          match Engine.read_path () with
-          | Engine.Lease -> find_lease t root key
-          | Engine.Copying -> find t root key
-      in
+      let r = if Oid.is_null root then None else find_lease t root key in
       (* fill under the engine lock: a same-key writer serializes on
          it, so a stale value can never overwrite a newer put *)
       (match (r, t.cache) with

@@ -12,34 +12,12 @@
    The shard/serve/replica stack is written against [packed] values —
    an existential pairing of a module implementing [S] with its state —
    so a shard's engine is chosen at [Shard.create] time and everything
-   above it stays engine-agnostic. *)
+   above it stays engine-agnostic. Engine readers open leased windows
+   and compare keys against the device view, never materializing a
+   candidate key; under SPP each window costs one masked-tag check,
+   bounded by the oid's durable size field (paper §IV-B). *)
 
 open Spp_pmdk
-
-(* Process-wide read-path selector. [Lease] is the zero-copy hot path:
-   engine readers pin a Space lease (or use single-copy [read_sub]) and
-   compare keys against the device view, never materializing candidate
-   strings. [Copying] is the pre-lease reference path — read_bytes +
-   Bytes.to_string double copies and one pointer check per access —
-   kept selectable for before/after benchmarking, exactly like
-   [Memdev]'s list-based tracking engine. Engines consult the selector
-   per read, so [with_read_path] brackets work mid-run; like the Memdev
-   toggle it is not meant to be flipped while worker domains are live. *)
-
-type read_path =
-  | Copying   (* pre-lease reference: double-copy reads, per-access checks *)
-  | Lease     (* zero-copy: hoisted checks, device-side key compares *)
-
-let read_path_name = function Copying -> "copying" | Lease -> "lease"
-
-let read_path_ref = ref Lease
-let set_read_path p = read_path_ref := p
-let read_path () = !read_path_ref
-
-let with_read_path p f =
-  let saved = !read_path_ref in
-  read_path_ref := p;
-  Fun.protect ~finally:(fun () -> read_path_ref := saved) f
 
 (* Batch programs are shared across engines so the serving layer can
    build them without knowing which engine executes them. *)

@@ -12,21 +12,14 @@
      fence (SFENCE) has drained them — the regime used by the crash
      simulator and the pmemcheck-style trace checker.
 
-   Tracking engines. The original engine kept pending stores in one
-   newest-first list: every flush scanned all P pending records and every
-   fence partitioned the whole list — O(P) per durability event, which the
-   crash-point torture harness replays O(E) times per event. The default
-   engine now indexes pending records by cacheline (a dirty table), so a
-   flush touches only the buckets of the lines it covers and a fence
-   drains an ordered queue of already-flushed records. The list engine is
-   kept selectable so the two can be benchmarked and differentially
-   tested against each other. *)
+   Pending stores are indexed by cacheline (a dirty table), so a flush
+   touches only the buckets of the lines it covers and a fence drains an
+   ordered queue of already-flushed records: O(lines) per flush and
+   O(f log f) per fence in the f records drained, never O(P) in all
+   pending stores — the crash-point torture harness replays every
+   durability event O(E) times, so per-event cost is what it pays. *)
 
 let cacheline = 64
-
-type tracking_engine =
-  | Line_indexed
-  | List_based
 
 type store_rec = {
   seq : int;
@@ -35,6 +28,8 @@ type store_rec = {
   data : Bytes.t;          (* value at store time *)
   mutable flushed : bool;
   mutable fenced : bool;
+  mutable shadows : store_rec list;
+    (* newer overlapping stores that became durable first *)
 }
 
 type event =
@@ -55,14 +50,11 @@ type t = {
   view : Bytes.t;
   durable : Bytes.t option;
   mutable tracking : bool;
-  mutable engine : tracking_engine;
   mutable next_seq : int;
-  (* List engine state. *)
-  mutable pending : store_rec list;   (* newest first *)
-  (* Line-indexed engine state. All pending records live in [p_journal]
-     in program order; [line_tbl] indexes the not-yet-flushed ones by
-     cacheline; [flushed_q] holds flushed-not-yet-fenced records in flush
-     order (re-sorted by seq at the fence, which only pays for what it
+  (* All pending records live in [p_journal] in program order;
+     [line_tbl] indexes the not-yet-flushed ones by cacheline;
+     [flushed_q] holds flushed-not-yet-fenced records in flush order
+     (re-sorted by seq at the fence, which only pays for what it
      drains). Fenced records stay in the journal until compaction. *)
   p_journal : store_rec Journal.t;
   mutable p_live : int;               (* unfenced records in p_journal *)
@@ -79,25 +71,9 @@ type t = {
   mutable powered_off : bool;
 }
 
-(* New devices pick up the process-wide default engine, so harnesses that
-   replay workloads through freshly built pools (the torture enumerator
-   rebuilds one per crash point) can be switched wholesale. *)
-let default_engine_ref = ref Line_indexed
-let set_default_engine e = default_engine_ref := e
-let default_engine () = !default_engine_ref
-
-(* Scoped selection: the default engine is process-wide state, and a test
-   or bench that sets it and raises would poison every later suite. The
-   combinator restores the previous default on any exit path. *)
-let with_default_engine e f =
-  let saved = !default_engine_ref in
-  default_engine_ref := e;
-  Fun.protect ~finally:(fun () -> default_engine_ref := saved) f
-
 let create ~name ~durable size =
   { name; size; view = Bytes.make size '\000'; durable;
-    tracking = false; engine = !default_engine_ref; next_seq = 0;
-    pending = [];
+    tracking = false; next_seq = 0;
     p_journal = Journal.create (); p_live = 0;
     line_tbl = Hashtbl.create 64; flushed_q = Journal.create ();
     trace_j = Journal.create ();
@@ -114,27 +90,11 @@ let name t = t.name
 let size t = t.size
 let is_persistent t = t.durable <> None
 
-let has_pending t =
-  t.pending <> [] || t.p_live > 0
-
 let clear_pending t =
-  t.pending <- [];
   Journal.clear t.p_journal;
   t.p_live <- 0;
   Hashtbl.reset t.line_tbl;
   Journal.clear t.flushed_q
-
-let engine t = t.engine
-
-let set_engine t e =
-  if e <> t.engine then begin
-    if t.tracking && has_pending t then
-      invalid_arg
-        "Memdev.set_engine: pending stores buffered; switch engines at a \
-         quiescent point (after a fence or crash)";
-    clear_pending t;
-    t.engine <- e
-  end
 
 let set_tracking t on =
   if on && not (is_persistent t) then
@@ -229,27 +189,31 @@ let add_to_line_tbl t r =
 let record_store t off len =
   let data = Bytes.sub t.view off len in
   let r = { seq = t.next_seq; s_off = off; s_len = len; data;
-            flushed = false; fenced = false } in
+            flushed = false; fenced = false; shadows = [] } in
   t.next_seq <- t.next_seq + 1;
-  (match t.engine with
-   | List_based -> t.pending <- r :: t.pending
-   | Line_indexed ->
-     Journal.push t.p_journal r;
-     t.p_live <- t.p_live + 1;
-     add_to_line_tbl t r);
+  Journal.push t.p_journal r;
+  t.p_live <- t.p_live + 1;
+  add_to_line_tbl t r;
   Journal.push t.trace_j (Ev_store { off; len; data })
+
+(* Every store is written to the view first; [landed] then carries the
+   range to the durable image — buffered as a pending record under
+   tracking, copied from the view at once otherwise — counts it and
+   fires the injector. *)
+let landed t off len =
+  t.n_stores <- t.n_stores + 1;
+  (match t.durable with
+   | None -> ()
+   | Some d ->
+     if t.tracking then record_store t off len
+     else Bytes.blit t.view off d off len);
+  inject t (Hk_store { off; len })
 
 let store_bytes t ~off src ~src_off ~len =
   check_range t off len;
   if not t.powered_off then begin
     Bytes.blit src src_off t.view off len;
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off len
-       else Bytes.blit src src_off d off len);
-    inject t (Hk_store { off; len })
+    landed t off len
   end
 
 let store_string t ~off s =
@@ -257,13 +221,7 @@ let store_string t ~off s =
   check_range t off len;
   if not t.powered_off then begin
     Bytes.blit_string s 0 t.view off len;
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off len
-       else Bytes.blit_string s 0 d off len);
-    inject t (Hk_store { off; len })
+    landed t off len
   end
 
 (* Device-level copy: both buffers are touched in place, so Space-level
@@ -279,13 +237,7 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
     check_load src ~off:src_off ~len;
     if not dst.powered_off then begin
       Bytes.blit src.view src_off dst.view dst_off len;
-      dst.n_stores <- dst.n_stores + 1;
-      (match dst.durable with
-       | None -> ()
-       | Some d ->
-         if dst.tracking then record_store dst dst_off len
-         else Bytes.blit dst.view dst_off d dst_off len);
-      inject dst (Hk_store { off = dst_off; len })
+      landed dst dst_off len
     end
   end
 
@@ -296,87 +248,45 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
 let store_u8 t ~off v =
   check_range t off 1;
   if not t.powered_off then begin
-    let c = Char.unsafe_chr (v land 0xFF) in
-    Bytes.set t.view off c;
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d -> if t.tracking then record_store t off 1 else Bytes.set d off c);
-    inject t (Hk_store { off; len = 1 })
+    Bytes.set t.view off (Char.unsafe_chr (v land 0xFF));
+    landed t off 1
   end
 
 let store_u16 t ~off v =
   check_range t off 2;
   if not t.powered_off then begin
     Bytes.set_uint16_le t.view off (v land 0xFFFF);
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off 2
-       else Bytes.set_uint16_le d off (v land 0xFFFF));
-    inject t (Hk_store { off; len = 2 })
+    landed t off 2
   end
 
 let store_u32 t ~off v =
   check_range t off 4;
   if not t.powered_off then begin
     Bytes.set_int32_le t.view off (Int32.of_int v);
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off 4
-       else Bytes.set_int32_le d off (Int32.of_int v));
-    inject t (Hk_store { off; len = 4 })
+    landed t off 4
   end
 
 let store_word t ~off v =
   check_range t off 8;
   if not t.powered_off then begin
     Bytes.set_int64_le t.view off (Int64.of_int v);
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off 8
-       else Bytes.set_int64_le d off (Int64.of_int v));
-    inject t (Hk_store { off; len = 8 })
+    landed t off 8
   end
 
 let fill t ~off ~len c =
   check_range t off len;
   if not t.powered_off then begin
     Bytes.fill t.view off len c;
-    t.n_stores <- t.n_stores + 1;
-    (match t.durable with
-     | None -> ()
-     | Some d ->
-       if t.tracking then record_store t off len
-       else Bytes.fill d off len c);
-    inject t (Hk_store { off; len })
+    landed t off len
   end
 
 (* Flush and fence. *)
 
-let ranges_intersect a_off a_len b_off b_len =
-  a_off < b_off + b_len && b_off < a_off + a_len
-
-let flush_list t off len =
-  (* CLWB works at cacheline granularity. *)
-  let lo = off / cacheline * cacheline in
-  let hi = (off + len + cacheline - 1) / cacheline * cacheline in
-  let flen = hi - lo in
-  List.iter
-    (fun r ->
-      if (not r.flushed) && ranges_intersect lo flen r.s_off r.s_len then
-        r.flushed <- true)
-    t.pending
-
-let flush_indexed t off len =
-  (* Only the buckets of the covered cachelines are touched. A record
-     spanning several lines is flushed on the first hit; the flag stops
-     its other buckets from re-queueing it. *)
+let flush_lines t off len =
+  (* CLWB works at cacheline granularity, so only the buckets of the
+     covered cachelines are touched. A record spanning several lines is
+     flushed on the first hit; the flag stops its other buckets from
+     re-queueing it. *)
   if len > 0 then
     for line = line_of off to line_of (off + len - 1) do
       match Hashtbl.find_opt t.line_tbl line with
@@ -398,27 +308,48 @@ let flush t ~off ~len =
   else begin
   t.n_flushes <- t.n_flushes + 1;
   if t.tracking then begin
-    (match t.engine with
-     | List_based -> flush_list t off len
-     | Line_indexed -> flush_indexed t off len);
+    flush_lines t off len;
     Journal.push t.trace_j (Ev_flush { off; len })
   end;
   inject t (Hk_flush { off; len })
   end
 
+(* A store spanning several lines is drained once any of its lines is
+   flushed, so it can become durable before an older overlapping store
+   whose lines were flushed later. Draining that older store must not
+   roll the shared bytes back: each drained record is noted as a shadow
+   of every older overlapping record still waiting in its lines'
+   buckets (once per shared line), and applying a record re-applies its
+   shadows' overlap in program order, which is idempotent. The durable
+   image thus always equals the durable stores applied in program
+   order. *)
+
+let note_shadows t r =
+  for line = line_of r.s_off to line_of (r.s_off + r.s_len - 1) do
+    match Hashtbl.find_opt t.line_tbl line with
+    | None -> ()
+    | Some bucket ->
+      List.iter
+        (fun a ->
+          if (not a.flushed) && a.seq < r.seq
+             && a.s_off < r.s_off + r.s_len && r.s_off < a.s_off + a.s_len
+          then a.shadows <- r :: a.shadows)
+        !bucket
+  done
+
 let apply_to_durable t r =
   match t.durable with
   | None -> ()
-  | Some d -> Bytes.blit r.data 0 d r.s_off r.s_len
+  | Some d ->
+    Bytes.blit r.data 0 d r.s_off r.s_len;
+    List.iter
+      (fun s ->
+        let lo = max r.s_off s.s_off
+        and hi = min (r.s_off + r.s_len) (s.s_off + s.s_len) in
+        Bytes.blit s.data (lo - s.s_off) d lo (hi - lo))
+      (List.sort (fun a b -> compare a.seq b.seq) r.shadows)
 
-let fence_list t =
-  (* Drain flushed stores to the durable image, in program order. *)
-  let drained, still = List.partition (fun r -> r.flushed) t.pending in
-  List.iter (apply_to_durable t) (List.rev drained);
-  List.iter (fun r -> r.fenced <- true) drained;
-  t.pending <- still
-
-let fence_indexed t =
+let drain_flushed t =
   (* The queue holds exactly the flushed-unfenced records; sorting the
      drained set by sequence restores program order for overlapping
      stores whose lines were flushed out of order. The whole operation
@@ -430,7 +361,8 @@ let fence_indexed t =
     Array.iter
       (fun r ->
         apply_to_durable t r;
-        r.fenced <- true)
+        r.fenced <- true;
+        note_shadows t r)
       drained;
     t.p_live <- t.p_live - Array.length drained;
     Journal.clear t.flushed_q;
@@ -445,9 +377,7 @@ let fence t =
   else begin
   t.n_fences <- t.n_fences + 1;
   if t.tracking then begin
-    (match t.engine with
-     | List_based -> fence_list t
-     | Line_indexed -> fence_indexed t);
+    drain_flushed t;
     Journal.push t.trace_j Ev_fence
   end;
   inject t Hk_fence
@@ -468,10 +398,7 @@ let crash t =
   t.powered_off <- false       (* restart: power is back *)
 
 let pending_stores t =
-  match t.engine with
-  | List_based -> List.rev t.pending
-  | Line_indexed ->
-    List.filter (fun r -> not r.fenced) (Journal.to_list t.p_journal)
+  List.filter (fun r -> not r.fenced) (Journal.to_list t.p_journal)
 
 let crash_applying t recs =
   (* A crash where a chosen subset of the pending (not yet fenced) stores
@@ -480,9 +407,9 @@ let crash_applying t recs =
      program order on the durable image before discarding the rest. *)
   (match t.durable with
    | None -> invalid_arg "Memdev.crash_applying: volatile device"
-   | Some d ->
-     let sorted = List.sort (fun a b -> compare a.seq b.seq) recs in
-     List.iter (fun r -> Bytes.blit r.data 0 d r.s_off r.s_len) sorted);
+   | Some _ ->
+     List.iter (apply_to_durable t)
+       (List.sort (fun a b -> compare a.seq b.seq) recs));
   crash t
 
 let trace t = Journal.to_list t.trace_j

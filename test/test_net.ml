@@ -379,6 +379,84 @@ let test_dead_server_fails_typed () =
   poll 100;
   Net_client.close cl
 
+(* OCaml caps a process at 128 domains and every server connection takes
+   two, so 80 connections to a 2-shard server run out. A connection past
+   the cap must be closed, never left hanging in the backlog, and the
+   acceptor must survive it: once the others are closed, a fresh
+   connection is served. Every wait has a deadline, so a regression fails
+   instead of hanging. *)
+let test_domain_cap_refuses_and_recovers () =
+  let t = mk_store () in
+  let sv = Serve.create ~batch_cap:8 t in
+  let srv = Net_server.create sv (Unix.ADDR_UNIX (sock_path "cap")) in
+  let frame =
+    let b = Buffer.create 32 in
+    Wire.encode_request b ~corr:7 (Serve.Get "k");
+    Buffer.contents b
+  in
+  let fds = ref [] in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    fds := fd :: !fds;
+    Unix.connect fd (Net_server.addr srv);
+    ignore (Unix.write_substring fd frame 0 (String.length frame));
+    fd
+  in
+  (* a whole reply, EOF, or neither by [deadline] *)
+  let outcome ~deadline fd =
+    let dec = Wire.decoder () and buf = Bytes.create 256 in
+    let rec go () =
+      let left = Float.max 0. (deadline -. Unix.gettimeofday ()) in
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> `Timeout
+      | _ ->
+        (match Unix.read fd buf 0 (Bytes.length buf) with
+         | 0 | (exception Unix.Unix_error _) -> `Eof
+         | n ->
+           Wire.feed dec buf ~off:0 ~len:n;
+           (match Wire.next_reply dec with
+            | Wire.Msg (7, Serve.Value None) -> `Reply
+            | Wire.Awaiting -> go ()
+            | _ -> Alcotest.fail "unexpected reply"))
+    in
+    go ()
+  in
+  let close_all () =
+    List.iter (fun fd -> try Unix.close fd with _ -> ()) !fds;
+    fds := []
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      close_all ();
+      Net_server.stop srv;
+      Serve.stop sv)
+    (fun () ->
+      let conns = List.init 80 (fun _ -> connect ()) in
+      let deadline = Unix.gettimeofday () +. 5. in
+      let eofs =
+        List.fold_left
+          (fun n fd ->
+            match outcome ~deadline fd with
+            | `Reply -> n
+            | `Eof -> n + 1
+            | `Timeout -> Alcotest.fail "no reply and no EOF within 5 s")
+          0 conns
+      in
+      check_bool "connections past the domain cap see EOF" true (eofs >= 1);
+      close_all ();
+      (* closed connections release their domains asynchronously *)
+      let deadline = Unix.gettimeofday () +. 5. in
+      let rec fresh () =
+        match outcome ~deadline (connect ()) with
+        | `Reply -> ()
+        | `Eof when Unix.gettimeofday () < deadline ->
+          close_all ();
+          Unix.sleepf 0.02;
+          fresh ()
+        | _ -> Alcotest.fail "fresh connection not served after the rest closed"
+      in
+      fresh ())
+
 let test_parse_addr () =
   (match Net_server.parse_addr "unix:/tmp/x.sock" with
    | Unix.ADDR_UNIX p -> check_string "unix path" "/tmp/x.sock" p
@@ -553,6 +631,8 @@ let () =
             `Quick test_malformed_kills_connection_not_server;
           Alcotest.test_case "dead server fails typed, never hangs" `Quick
             test_dead_server_fails_typed;
+          Alcotest.test_case "domain cap closes, acceptor survives" `Quick
+            test_domain_cap_refuses_and_recovers;
           Alcotest.test_case "parse_addr" `Quick test_parse_addr;
         ] );
       ( "loadgen",

@@ -335,48 +335,52 @@ let test_cmap_scan_and_registry () =
   check_bool "registry: unknown" true
     (Spp_pmemkv.Engines.of_name "lsm" = None)
 
-(* The read-path selector must be invisible to semantics: an identical
-   workload answered under [Copying] and under [Lease] must produce
-   bit-identical gets and scans, on both engines and on every access
-   variant (each variant hoists its own check into lease acquisition). *)
-let test_read_path_equivalence () =
-  let replies path engine_name variant =
-    Spp_pmemkv.Engine.with_read_path path (fun () ->
-        let a = mk variant in
-        let spec = Option.get (Spp_pmemkv.Engines.of_name engine_name) in
-        let kv = Spp_pmemkv.Engine.create ~nbuckets:32 spec a in
-        let st = Random.State.make [| 42 |] in
-        let log = Buffer.create 4096 in
-        for i = 1 to 600 do
-          let key = Printf.sprintf "key-%03d" (Random.State.int st 120) in
-          match Random.State.int st 4 with
-          | 0 ->
-            Spp_pmemkv.Engine.put kv ~key
-              ~value:(Printf.sprintf "val-%d-%d" i (Random.State.int st 1000))
-          | 1 ->
-            Buffer.add_string log
-              (match Spp_pmemkv.Engine.get kv key with
-               | Some v -> "G:" ^ v ^ "\n"
-               | None -> "N\n")
-          | 2 ->
-            Buffer.add_string log
-              (if Spp_pmemkv.Engine.remove kv key then "R\n" else "r\n")
-          | _ ->
-            List.iter
-              (fun (k, v) -> Buffer.add_string log (k ^ "=" ^ v ^ ";"))
-              (Spp_pmemkv.Engine.scan kv ~lo:key ~hi:"~" ~limit:5)
-        done;
-        Buffer.contents log)
+(* Engine reads against a DRAM model: a seeded put/get/remove/scan
+   stream on both engines and every access variant (each variant hoists
+   its own check into lease acquisition). Every get and remove reply
+   must match a [Hashtbl] model, and every scan must equal the model's
+   sorted bindings in [key, "~"], clipped to the limit. *)
+let test_reads_match_model () =
+  let run engine_name variant =
+    let a = mk variant in
+    let spec = Option.get (Spp_pmemkv.Engines.of_name engine_name) in
+    let kv = Spp_pmemkv.Engine.create ~nbuckets:32 spec a in
+    let model = Hashtbl.create 128 in
+    let st = Random.State.make [| 42 |] in
+    let ctx = engine_name ^ "/" ^ Spp_access.variant_name variant in
+    for i = 1 to 600 do
+      let key = Printf.sprintf "key-%03d" (Random.State.int st 120) in
+      let what = Printf.sprintf "%s op %d on %s" ctx i key in
+      match Random.State.int st 4 with
+      | 0 ->
+        let value =
+          Printf.sprintf "val-%d-%d" i (Random.State.int st 1000)
+        in
+        Spp_pmemkv.Engine.put kv ~key ~value;
+        Hashtbl.replace model key value
+      | 1 ->
+        Alcotest.(check (option string)) ("get " ^ what)
+          (Hashtbl.find_opt model key)
+          (Spp_pmemkv.Engine.get kv key)
+      | 2 ->
+        check_bool ("remove " ^ what) (Hashtbl.mem model key)
+          (Spp_pmemkv.Engine.remove kv key);
+        Hashtbl.remove model key
+      | _ ->
+        let expected =
+          Hashtbl.fold
+            (fun k v acc -> if k >= key && k <= "~" then (k, v) :: acc else acc)
+            model []
+          |> List.sort compare
+          |> List.filteri (fun j _ -> j < 5)
+        in
+        Alcotest.(check (list (pair string string))) ("scan " ^ what)
+          expected
+          (Spp_pmemkv.Engine.scan kv ~lo:key ~hi:"~" ~limit:5)
+    done
   in
   List.iter
-    (fun engine ->
-      List.iter
-        (fun v ->
-          Alcotest.(check string)
-            (engine ^ "/" ^ Spp_access.variant_name v ^ ": copying = lease")
-            (replies Spp_pmemkv.Engine.Copying engine v)
-            (replies Spp_pmemkv.Engine.Lease engine v))
-        Spp_access.all_variants)
+    (fun engine -> List.iter (run engine) Spp_access.all_variants)
     [ "cmap"; "btree" ]
 
 let () =
@@ -409,8 +413,8 @@ let () =
         [
           Alcotest.test_case "cmap scan + registry" `Quick
             test_cmap_scan_and_registry;
-          Alcotest.test_case "read paths agree on both engines" `Quick
-            test_read_path_equivalence;
+          Alcotest.test_case "reads match a model on both engines" `Quick
+            test_reads_match_model;
         ] );
       ( "db_bench",
         [ Alcotest.test_case "all workloads run" `Quick test_db_bench_runs ] );

@@ -222,49 +222,71 @@ let test_memdev_blit () =
   Alcotest.(check string) "memmove-safe overlap" "123412345678"
     (Bytes.to_string (Memdev.load_bytes d ~off:200 ~len:12))
 
-(* Tracking-engine differentials: the line-indexed dirty table must be
-   observationally identical to the original list engine. *)
+(* Durability specification: line-indexed tracking must match a
+   declarative model computed from the op list alone. A store is durable
+   iff some later flush intersects its cacheline-rounded range and a
+   fence follows that flush; the durable image is zeros with the durable
+   stores applied in program order. Ops: 0|1 store 8 B, 2 flush, 3 fence,
+   4 persist 8 B. *)
 
 let bytes8 v = Bytes.make 8 (Char.chr v)
 
-let prop_engines_agree =
+let spec_durable_image size ops =
+  let line o = o / Memdev.cacheline in
+  let lines off len =
+    List.init (line (off + len - 1) - line off + 1) (( + ) (line off))
+  in
+  (* walking backwards, [persisted] holds the lines of every flush that a
+     fence follows *)
+  let persisted = Hashtbl.create 8 and fenced = ref false in
+  let persist off len =
+    List.iter (fun l -> Hashtbl.replace persisted l ()) (lines off len)
+  in
+  let durable =
+    List.filter
+      (fun (kind, off, v) ->
+        match kind with
+        | 0 | 1 -> List.exists (Hashtbl.mem persisted) (lines off 8)
+        | 2 -> if !fenced then persist off (1 + (v land 63)); false
+        | 3 -> fenced := true; false
+        | _ -> fenced := true; persist off 8; false)
+      (List.rev ops)
+  in
+  let img = Bytes.make size '\000' in
+  List.iter
+    (fun (_, off, v) -> Bytes.blit (bytes8 v) 0 img off 8)
+    (List.rev durable);
+  img
+
+let prop_matches_durability_spec =
   QCheck.Test.make
-    ~name:"line-indexed and list engines produce identical durable images"
-    ~count:300
+    ~name:"line-indexed tracking matches the durability spec" ~count:300
     QCheck.(
       list_of_size (Gen.int_range 1 60)
         (triple (int_bound 4) (int_bound 440) (int_bound 255)))
     (fun ops ->
-      let run engine =
-        let d = Memdev.create_persistent ~name:"p" 512 in
-        Memdev.set_engine d engine;
-        Memdev.set_tracking d true;
-        List.iter
-          (fun (kind, off, v) ->
-            match kind with
-            | 0 | 1 -> Memdev.store_bytes d ~off (bytes8 v) ~src_off:0 ~len:8
-            | 2 -> Memdev.flush d ~off ~len:(1 + (v land 63))
-            | 3 -> Memdev.fence d
-            | _ -> Memdev.persist d ~off ~len:8)
-          ops;
-        Memdev.crash d;
-        Memdev.durable_snapshot d
-      in
-      Bytes.equal (run Memdev.Line_indexed) (run Memdev.List_based))
+      let d = Memdev.create_persistent ~name:"p" 512 in
+      Memdev.set_tracking d true;
+      List.iter
+        (fun (kind, off, v) ->
+          match kind with
+          | 0 | 1 -> Memdev.store_bytes d ~off (bytes8 v) ~src_off:0 ~len:8
+          | 2 -> Memdev.flush d ~off ~len:(1 + (v land 63))
+          | 3 -> Memdev.fence d
+          | _ -> Memdev.persist d ~off ~len:8)
+        ops;
+      Memdev.crash d;
+      Bytes.equal (Memdev.durable_snapshot d) (spec_durable_image 512 ops))
 
 let prop_tracked_full_flush_equals_untracked =
   QCheck.Test.make
     ~name:"tracking-on + full flush/fence = tracking-off durable image"
     ~count:150
     QCheck.(
-      pair bool
-        (list_of_size (Gen.int_range 1 40)
-           (pair (int_bound 440) (int_bound 255))))
-    (fun (indexed, writes) ->
+      list_of_size (Gen.int_range 1 40) (pair (int_bound 440) (int_bound 255)))
+    (fun writes ->
       let run tracking =
         let d = Memdev.create_persistent ~name:"p" 512 in
-        Memdev.set_engine d
-          (if indexed then Memdev.Line_indexed else Memdev.List_based);
         Memdev.set_tracking d tracking;
         List.iter
           (fun (off, v) -> Memdev.store_bytes d ~off (bytes8 v) ~src_off:0 ~len:8)
@@ -697,26 +719,6 @@ let prop_crash_is_prefix_consistent =
       Memdev.crash d;
       Bytes.equal expected (Memdev.load_bytes d ~off:0 ~len:512))
 
-(* The scoped default-engine selector must restore the previous default
-   on every exit path — including an exception mid-scope — so an
-   engine-differential suite can never poison suites that run after it. *)
-let test_with_default_engine_scoped () =
-  let initial = Memdev.default_engine () in
-  let inside =
-    Memdev.with_default_engine Memdev.List_based Memdev.default_engine
-  in
-  check_bool "selected inside the scope" true (inside = Memdev.List_based);
-  check_bool "restored after return" true (Memdev.default_engine () = initial);
-  (try
-     Memdev.with_default_engine Memdev.List_based (fun () -> failwith "boom")
-   with Failure _ -> ());
-  check_bool "restored after exception" true
-    (Memdev.default_engine () = initial);
-  let d = Memdev.with_default_engine Memdev.List_based
-      (fun () -> Memdev.create_persistent ~name:"scoped" 64) in
-  check_bool "device created in scope uses the scoped engine" true
-    (Memdev.engine d = Memdev.List_based)
-
 let () =
   let qt t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "spp_sim"
@@ -751,8 +753,6 @@ let () =
           Alcotest.test_case "load_durable validates size and magic" `Quick
             test_load_durable_validation;
           Alcotest.test_case "device-level blit" `Quick test_memdev_blit;
-          Alcotest.test_case "with_default_engine scoped" `Quick
-            test_with_default_engine_scoped;
         ] );
       ( "space",
         [
@@ -806,7 +806,7 @@ let () =
       ( "properties",
         [ qt prop_word_roundtrip; qt prop_vheap_disjoint;
           qt prop_crash_is_prefix_consistent;
-          qt prop_engines_agree;
+          qt prop_matches_durability_spec;
           qt prop_tracked_full_flush_equals_untracked;
           qt prop_tlb_never_stale ] );
     ]

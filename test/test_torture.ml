@@ -122,42 +122,38 @@ let test_seed_reproducible () =
   in
   check_bool "identical reports" true (run () = run ())
 
-(* Engine differential: the line-indexed tracking engine must reproduce
-   the list-based engine's torture results exactly — same event count,
-   same crash points, same verdicts. [w_make] builds fresh devices per
-   replay, so the engine is selected process-wide. *)
+(* Suite sweeps: the short clean suites and the seeded fault suites,
+   each enumerated once. *)
 
-let engine_differential ?faults ?budget ?seed w =
-  let run e =
-    Memdev.with_default_engine e (fun () -> Torture.run ?budget ?seed ?faults w)
-  in
-  let a = run Memdev.Line_indexed in
-  let b = run Memdev.List_based in
-  check_bool ("identical reports: " ^ a.Torture.r_workload) true (a = b);
-  a
-
-let test_engine_differential_clean () =
+let test_clean_suites () =
   List.iter
     (fun w ->
-      let r = engine_differential w in
-      check_int "zero invariant failures" 0 r.Torture.r_invariant_failures)
+      let r = Torture.run w in
+      check_int
+        ("zero invariant failures: " ^ r.Torture.r_workload)
+        0 r.Torture.r_invariant_failures)
     [ Workloads.kvstore ~ops:5 (); Workloads.pmemlog ~ops:5 ();
       Workloads.counter ~ops:5 (); Workloads.kvbatch ~ops:5 ();
       Workloads.kvscan ~ops:7 (); Workloads.kvscan_btree ~ops:7 () ]
 
-let test_engine_differential_faults () =
-  ignore
-    (engine_differential ~budget:40 ~seed:7
-       ~faults:{ Torture.torn = true; bitflips = 0 }
-       (Workloads.counter ~ops:6 ()));
-  ignore
-    (engine_differential ~budget:30 ~seed:9
-       ~faults:{ Torture.torn = true; bitflips = 2 }
-       (Workloads.pmemlog ~ops:5 ()));
-  ignore
-    (engine_differential ~budget:40 ~seed:13
-       ~faults:{ Torture.torn = true; bitflips = 0 }
-       (Workloads.kvbatch ~ops:6 ()))
+let test_fault_suites () =
+  List.iter
+    (fun (budget, seed, faults, w) ->
+      let r = Torture.run ~budget ~seed ~faults w in
+      check_int
+        ("every point accounted: " ^ r.Torture.r_workload)
+        r.Torture.r_crash_points
+        (r.Torture.r_recovered + r.Torture.r_rejected
+         + r.Torture.r_invariant_failures);
+      (* torn writes alone never break an invariant; bit rot may *)
+      if faults.Torture.bitflips = 0 then
+        check_int
+          ("torn zero failures: " ^ r.Torture.r_workload)
+          0 r.Torture.r_invariant_failures)
+    (let torn bitflips = { Torture.torn = true; bitflips } in
+     [ (40, 7, torn 0, Workloads.counter ~ops:6 ());
+       (30, 9, torn 2, Workloads.pmemlog ~ops:5 ());
+       (40, 13, torn 0, Workloads.kvbatch ~ops:6 ()) ])
 
 (* Graceful pool-corruption handling *)
 
@@ -271,12 +267,12 @@ let () =
             test_kvreshard_btree_full;
           Alcotest.test_case "budget sampling" `Quick test_budget_sampling;
         ] );
-      ( "engine differential",
+      ( "suite sweeps",
         [
-          Alcotest.test_case "clean suites agree across engines" `Quick
-            test_engine_differential_clean;
-          Alcotest.test_case "fault suites agree across engines" `Quick
-            test_engine_differential_faults;
+          Alcotest.test_case "clean suites: zero invariant failures" `Quick
+            test_clean_suites;
+          Alcotest.test_case "fault suites: every point accounted" `Quick
+            test_fault_suites;
         ] );
       ( "media faults",
         [
