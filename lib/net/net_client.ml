@@ -1,6 +1,13 @@
 (* Pooled, pipelined wire client. One reader domain per connection
    demultiplexes replies by correlation id; senders only ever touch the
-   write side, so send/receive never contend on a socket. *)
+   write side, so send/receive never contend on a socket.
+
+   The reader handles a read chunk as one unit: it decodes every
+   complete reply frame in the chunk without holding [k_pmu], takes one
+   completion stamp after decoding, then takes [k_pmu] once to resolve
+   the chunk's futures and wakes the awaiters with a single broadcast.
+   No reply's stamp precedes the decode of its own frame, so batching
+   can only lengthen a measured latency, never shorten it. *)
 
 open Spp_shard
 open Spp_benchlib
@@ -51,6 +58,21 @@ let fail_all_locked c r =
 let reader c =
   let buf = Bytes.create 65536 in
   let dec = Wire.decoder () in
+  let resolve_chunk got =
+    let now = Bench_util.now_mono () in
+    Mutex.lock c.k_pmu;
+    List.iter
+      (fun (corr, r) ->
+        match Hashtbl.find_opt c.k_pending corr with
+        | Some fu ->
+          Hashtbl.remove c.k_pending corr;
+          fu.fu_reply <- Some r;
+          fu.fu_done_at <- now
+        | None -> ())   (* stray corr: reply to a forgotten send *)
+      got;
+    Condition.broadcast c.k_done;
+    Mutex.unlock c.k_pmu
+  in
   (try
      let running = ref true in
      while !running do
@@ -58,25 +80,17 @@ let reader c =
        if n = 0 then running := false
        else begin
          Wire.feed dec buf ~off:0 ~len:n;
-         let popping = ref true in
+         let got = ref [] and popping = ref true in
          while !popping do
            match Wire.next_reply dec with
            | Wire.Awaiting -> popping := false
            | Wire.Corrupt _ ->
+             (* the frames before it are good; the rest fail below *)
              popping := false;
              running := false
-           | Wire.Msg (corr, r) ->
-             let now = Bench_util.now_mono () in
-             Mutex.lock c.k_pmu;
-             (match Hashtbl.find_opt c.k_pending corr with
-              | Some fu ->
-                Hashtbl.remove c.k_pending corr;
-                fu.fu_reply <- Some r;
-                fu.fu_done_at <- now;
-                Condition.broadcast c.k_done
-              | None -> ());   (* stray corr: reply to a forgotten send *)
-             Mutex.unlock c.k_pmu
-         done
+           | Wire.Msg (corr, r) -> got := (corr, r) :: !got
+         done;
+         if !got <> [] then resolve_chunk !got
        end
      done
    with _ -> ());

@@ -7,9 +7,10 @@
     requests can be in flight, and replies resolve out of order.
 
     Futures record their completion time ({!done_at}, a
-    [Bench_util.now_mono] stamp taken by the reader domain the moment
-    the reply frame is decoded), so an open-loop load generator can
-    measure latency without itself blocking in {!await}.
+    [Bench_util.now_mono] stamp taken by the reader domain once per read
+    chunk, after every reply frame in the chunk is decoded), so an
+    open-loop load generator can measure latency without itself
+    blocking in {!await}.
 
     If a connection dies (EOF, write error, corrupt reply frame) every
     future pending on it resolves to [Failed (Op_raised "connection
@@ -45,8 +46,11 @@ val await : t -> future -> Spp_shard.Serve.reply
 (** Block until the reply arrives. *)
 
 val done_at : future -> float
-(** Monotonic time at which the reader decoded this future's reply.
-    Meaningless (0.) before the future resolves. *)
+(** Monotonic time at which the reader finished decoding the read chunk
+    that carried this future's reply — one stamp per chunk, taken after
+    the chunk's last frame is decoded, so never earlier than the
+    frame's own decode. Non-decreasing in reply arrival order on one
+    connection. Meaningless (0.) before the future resolves. *)
 
 val inflight : t -> int
 (** Futures sent but not yet resolved, across the pool. *)

@@ -4,21 +4,27 @@
    The reader submits every decoded request straight away, so a
    connection's requests pipeline into the per-shard queues without
    waiting for earlier replies; correlation ids let replies complete out
-   of order. Two completion paths write frames:
+   of order. Each of the two completion paths stages its reply frames in
+   an outbox of its own and writes the outbox out in one [write]:
 
-   - the reader itself, for tickets [Serve.submit] pre-fulfilled (the
-     read-cache bypass): the reply is written immediately under the
-     connection's write mutex, ahead of everything still queued — the
-     no-worker-hop fast path survives the wire;
+   - the reader, for tickets [Serve.submit] pre-fulfilled (the
+     read-cache bypass): the reply is staged at once, ahead of
+     everything still queued — the no-worker-hop fast path survives the
+     wire. The reader flushes at exactly three points: when the decoder
+     runs dry (before the next blocking read), when the outbox would
+     pass [Outbox.cap], and when the reader exits. A read chunk of
+     cache-hit gets thus costs one write, not one per frame;
    - the writer domain, which pops (corr, ticket) in submission order
      and blocks in [Serve.await] — per-shard tickets resolve in commit
      order, so head-of-line blocking here only reorders across shards,
-     which correlation ids make harmless.
+     which correlation ids make harmless. It flushes before it blocks,
+     when the outbox would pass the cap, and after each queue batch.
 
-   Writes share one mutex per connection, so frames interleave at frame
-   granularity only. Failure containment: a corrupt frame stops the
-   reader (framing cannot resync), the writer flushes what is owed, and
-   the connection closes — the serving pipeline never observes it. *)
+   Both outboxes write under one mutex per connection, so frames
+   interleave at frame granularity only. Failure containment: a corrupt
+   frame stops the reader (framing cannot resync), both paths flush what
+   is owed, and the connection closes — the serving pipeline never
+   observes it. *)
 
 open Spp_shard
 
@@ -27,6 +33,7 @@ type stats = {
   sv_requests : int;
   sv_replies : int;
   sv_malformed : int;
+  sv_writes : int;
 }
 
 type completion =
@@ -37,8 +44,6 @@ type completion =
 type conn = {
   c_fd : Unix.file_descr;
   c_wmu : Mutex.t;             (* serializes whole frames onto the fd *)
-  c_wbuf : Buffer.t;           (* reused per send, under [c_wmu] *)
-  mutable c_scratch : Bytes.t; (* reused write staging, under [c_wmu] *)
   c_cmu : Mutex.t;
   c_work : Condition.t;
   c_cq : completion Queue.t;
@@ -52,6 +57,7 @@ type t = {
   ns_requests : int Atomic.t;
   ns_replies : int Atomic.t;
   ns_malformed : int Atomic.t;
+  ns_writes : int Atomic.t;
   ns_stopping : bool Atomic.t;
   ns_cmu : Mutex.t;
   mutable ns_conns : (conn * unit Domain.t * unit Domain.t) list;
@@ -88,31 +94,83 @@ let pp_addr ppf = function
     Format.fprintf ppf "%s:%d" (Unix.string_of_inet_addr a) p
 
 (* ------------------------------------------------------------------ *)
-(* Frame writing                                                       *)
+(* Reply staging                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let rec write_all fd b off len =
-  if len > 0 then begin
-    let n = Unix.write fd b off len in
-    write_all fd b (off + n) (len - n)
-  end
+module Outbox = struct
+  (* 64 KiB is also the most [Unix.write] hands the kernel per write(2),
+     so one flush of a full outbox is one syscall. *)
+  let cap = 65536
 
-(* Encode under the write mutex into the reused buffer/scratch pair and
-   push the whole frame in one (retried) write. Raises on a dead peer;
-   callers drop the connection. *)
-let send_reply t conn ~corr r =
-  Mutex.lock conn.c_wmu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.c_wmu)
-    (fun () ->
-      Buffer.clear conn.c_wbuf;
-      Wire.encode_reply conn.c_wbuf ~corr r;
-      let n = Buffer.length conn.c_wbuf in
-      if Bytes.length conn.c_scratch < n then
-        conn.c_scratch <- Bytes.create (max n (2 * Bytes.length conn.c_scratch));
-      Buffer.blit conn.c_wbuf 0 conn.c_scratch 0 n;
-      write_all conn.c_fd conn.c_scratch 0 n);
-  Atomic.incr t.ns_replies
+  type t = {
+    fd : Unix.file_descr;
+    wmu : Mutex.t;               (* the connection's write mutex *)
+    writes : int Atomic.t;       (* [Unix.write] calls made *)
+    replies : int Atomic.t;      (* frames written *)
+    frame : Buffer.t;            (* the frame being staged *)
+    mutable bytes : Bytes.t;     (* staged whole frames in [0, len) *)
+    mutable len : int;
+    mutable frames : int;
+  }
+
+  let create fd wmu ~writes ~replies =
+    { fd; wmu; writes; replies; frame = Buffer.create 256;
+      bytes = Bytes.create 4096; len = 0; frames = 0 }
+
+  let pending ob = ob.len
+  let retained ob = Bytes.length ob.bytes
+
+  let rec write_all ob off len =
+    if len > 0 then begin
+      let n = Unix.write ob.fd ob.bytes off (min len cap) in
+      Atomic.incr ob.writes;
+      write_all ob (off + n) (len - n)
+    end
+
+  (* Everything staged, under the connection's write mutex: one write,
+     or one per [cap] bytes of a single oversized frame. A dead peer
+     drops the frames: the reader is about to see EOF, and the writer
+     keeps draining tickets either way. An outbox that an oversized
+     frame stretched past [cap] shrinks back. *)
+  let flush ob =
+    if ob.len > 0 then begin
+      let len = ob.len and frames = ob.frames in
+      ob.len <- 0;
+      ob.frames <- 0;
+      (try
+         Mutex.lock ob.wmu;
+         Fun.protect
+           ~finally:(fun () -> Mutex.unlock ob.wmu)
+           (fun () -> write_all ob 0 len);
+         ignore (Atomic.fetch_and_add ob.replies frames)
+       with _ -> ());
+      if Bytes.length ob.bytes > cap then ob.bytes <- Bytes.create cap
+    end
+
+  (* Append one frame, flushing first if it would take the outbox past
+     [cap]. Only a single frame larger than [cap] (a big scan or value)
+     stretches the bytes beyond it, until the next flush. *)
+  let stage ob ~corr r =
+    Buffer.clear ob.frame;
+    Wire.encode_reply ob.frame ~corr r;
+    let n = Buffer.length ob.frame in
+    if ob.len + n > cap then flush ob;
+    let need = ob.len + n in
+    if need > Bytes.length ob.bytes then begin
+      let grown =
+        Bytes.create (max need (min cap (2 * Bytes.length ob.bytes)))
+      in
+      Bytes.blit ob.bytes 0 grown 0 ob.len;
+      ob.bytes <- grown
+    end;
+    Buffer.blit ob.frame 0 ob.bytes ob.len n;
+    if n > cap then Buffer.reset ob.frame;
+    ob.len <- need;
+    ob.frames <- ob.frames + 1
+end
+
+let outbox t conn =
+  Outbox.create conn.c_fd conn.c_wmu ~writes:t.ns_writes ~replies:t.ns_replies
 
 let push conn c =
   Mutex.lock conn.c_cmu;
@@ -128,35 +186,11 @@ let push conn c =
    every already-resolved reply into one [write] — under a pipelined
    load the per-reply syscall disappears, which is most of the loopback
    overhead. It only blocks in [Serve.await] after flushing what it has
-   encoded (never sitting on frames the peer could already read), and it
+   staged (never sitting on frames the peer could already read), and it
    always awaits every ticket even when the peer is gone, so
    [Serve.stop]'s drain never waits on a dead connection. *)
 let writer t conn =
-  let wbuf = Buffer.create 4096 in
-  let scratch = ref (Bytes.create 4096) in
-  let nframes = ref 0 in
-  let flush () =
-    let n = Buffer.length wbuf in
-    if n > 0 then begin
-      if Bytes.length !scratch < n then
-        scratch := Bytes.create (max n (2 * Bytes.length !scratch));
-      Buffer.blit wbuf 0 !scratch 0 n;
-      Buffer.clear wbuf;
-      let k = !nframes in
-      nframes := 0;
-      try
-        Mutex.lock conn.c_wmu;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock conn.c_wmu)
-          (fun () -> write_all conn.c_fd !scratch 0 n);
-        ignore (Atomic.fetch_and_add t.ns_replies k)
-      with _ -> ()   (* peer gone; keep draining tickets *)
-    end
-  in
-  let enc corr r =
-    Wire.encode_reply wbuf ~corr r;
-    incr nframes
-  in
+  let ob = outbox t conn in
   let batch = Queue.create () in
   let running = ref true in
   while !running do
@@ -169,19 +203,19 @@ let writer t conn =
     while not (Queue.is_empty batch) do
       match Queue.pop batch with
       | C_stop -> running := false   (* always last: reader pushed it at exit *)
-      | C_reply (corr, r) -> enc corr r
+      | C_reply (corr, r) -> Outbox.stage ob ~corr r
       | C_ticket (corr, tk) ->
         (match Serve.peek tk with
-         | Some r -> enc corr r
+         | Some r -> Outbox.stage ob ~corr r
          | None ->
-           flush ();
-           enc corr (Serve.await t.ns_serve tk))
+           Outbox.flush ob;
+           Outbox.stage ob ~corr (Serve.await t.ns_serve tk))
     done;
-    flush ()
+    Outbox.flush ob
   done;
   (try Unix.close conn.c_fd with _ -> ())
 
-let handle t conn corr (req : Serve.request) =
+let handle t conn ob corr (req : Serve.request) =
   match req with
   | Serve.Scan { lo; hi; limit } ->
     (* whole-store scatter-gather scan; no routing key, so it runs here
@@ -202,14 +236,16 @@ let handle t conn corr (req : Serve.request) =
      | tk ->
        (match Serve.peek tk with
         | Some r ->
-          (* cache-hit get, fulfilled at submission: answer now, ahead
-             of every queued completion *)
-          (try send_reply t conn ~corr r with _ -> ())
+          (* cache-hit get, fulfilled at submission: staged now, ahead
+             of every queued completion, and written with the rest of
+             this read chunk's hits *)
+          Outbox.stage ob ~corr r
         | None -> push conn (C_ticket (corr, tk))))
 
 let reader t conn =
   let buf = Bytes.create 65536 in
   let dec = Wire.decoder () in
+  let ob = outbox t conn in
   (try
      let running = ref true in
      while !running do
@@ -220,10 +256,13 @@ let reader t conn =
          let popping = ref true in
          while !popping do
            match Wire.next_request dec with
-           | Wire.Awaiting -> popping := false
+           | Wire.Awaiting ->
+             (* the chunk is handled: its hits go out before we block *)
+             Outbox.flush ob;
+             popping := false
            | Wire.Msg (corr, req) ->
              Atomic.incr t.ns_requests;
-             handle t conn corr req
+             handle t conn ob corr req
            | Wire.Corrupt _ ->
              (* framing is gone; drop the connection, not the server *)
              Atomic.incr t.ns_malformed;
@@ -233,6 +272,7 @@ let reader t conn =
        end
      done
    with _ -> ());
+  Outbox.flush ob;
   (* no more requests will be accepted; the writer flushes what is owed
      and closes the fd *)
   (try Unix.shutdown conn.c_fd Unix.SHUTDOWN_RECEIVE with _ -> ());
@@ -243,8 +283,7 @@ let reader t conn =
 (* ------------------------------------------------------------------ *)
 
 let mk_conn fd =
-  { c_fd = fd; c_wmu = Mutex.create (); c_wbuf = Buffer.create 1024;
-    c_scratch = Bytes.create 1024; c_cmu = Mutex.create ();
+  { c_fd = fd; c_wmu = Mutex.create (); c_cmu = Mutex.create ();
     c_work = Condition.create (); c_cq = Queue.create () }
 
 (* Set up one connection's domain pair. The writer goes first: if the
@@ -302,6 +341,7 @@ let create ?(backlog = 64) serve addr =
     { ns_serve = serve; ns_sock = sock; ns_addr = Unix.getsockname sock;
       ns_accepted = Atomic.make 0; ns_requests = Atomic.make 0;
       ns_replies = Atomic.make 0; ns_malformed = Atomic.make 0;
+      ns_writes = Atomic.make 0;
       ns_stopping = Atomic.make false; ns_cmu = Mutex.create ();
       ns_conns = []; ns_accept = None }
   in
@@ -315,7 +355,8 @@ let stats t =
   { sv_accepted = Atomic.get t.ns_accepted;
     sv_requests = Atomic.get t.ns_requests;
     sv_replies = Atomic.get t.ns_replies;
-    sv_malformed = Atomic.get t.ns_malformed }
+    sv_malformed = Atomic.get t.ns_malformed;
+    sv_writes = Atomic.get t.ns_writes }
 
 let stop t =
   if not (Atomic.exchange t.ns_stopping true) then begin

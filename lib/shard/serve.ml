@@ -159,6 +159,8 @@ type t = {
   adaptive : bool;
   bypass : bool;            (* answer cache-hit gets on the submitter *)
   bypassed : int Atomic.t;  (* gets that never saw a mailbox *)
+  unresolved : int Atomic.t array;
+      (* per key-hash bucket: mutations submitted but not yet resolved *)
   promotions : int Atomic.t;
   mig_mu : Mutex.t;         (* one migration at a time; scans serialize *)
   slot_ops : int Atomic.t array;   (* per-slot routed-op histogram *)
@@ -186,14 +188,29 @@ let of_engine_reply = function
   | Spp_pmemkv.Engine.R_removed b -> Removed b
   | Spp_pmemkv.Engine.R_scan kvs -> Scanned kvs
 
+(* The bypass may probe a key's cache entry only while no mutation of
+   it is in flight: a batch's post-commit fill can land after a later
+   put's submission-time invalidation, and would otherwise serve the
+   older write. Counters are shared by every key hashing to one bucket;
+   a collision only sends a get through the mailbox. *)
+let unresolved_buckets = 1024
+
+let unresolved t key =
+  t.unresolved.(Spp_pmemkv.Rcache.hash key land (unresolved_buckets - 1))
+
 (* Resolve a drain's tickets — the first [n] slots of the worker's
-   scratch buffer. [Failed] still records latency — a failed op occupied
-   the pipeline for that long. *)
-let resolve box hist nfailed items n replies =
+   scratch buffer. Runs after [run_batch]'s cache fills, so a mutation
+   stops holding the bypass off only once its own fill is in. [Failed]
+   still records latency — a failed op occupied the pipeline for that
+   long. *)
+let resolve t box hist nfailed items n replies =
   let now = Spp_benchlib.Bench_util.now_mono () in
   Mutex.lock box.mu;
   for j = 0 to n - 1 do
-    let (_, tk) = items.(j) in
+    let (req, tk) = items.(j) in
+    (match req with
+     | Put { key; _ } | Remove key -> Atomic.decr (unresolved t key)
+     | Get _ | Scan _ -> ());
     let r = replies j in
     (match r with Failed _ -> incr nfailed | _ -> ());
     tk.tk_reply <- Some r;
@@ -278,14 +295,21 @@ let submit_prepared t i ?key req =
      cache-bypassing and touch nothing here. (If the submit re-routes
      after a flip, this invalidated a non-owner's cache — harmless; the
      flip itself invalidated the moved keys there.) *)
-  (match req with
-   | Put { key; _ } | Remove key -> Spp_pmemkv.Engine.cache_invalidate kv key
-   | Get _ | Scan _ -> ());
+  match req with
+  | Put { key = mkey; _ } | Remove mkey ->
+    (* counted before the invalidation, so no fill of an older value
+       can be probed once the invalidation is visible *)
+    let c = unresolved t mkey in
+    Atomic.incr c;
+    Spp_pmemkv.Engine.cache_invalidate kv mkey;
+    (try submit_queued t i ?key req
+     with e ->
+       Atomic.decr c;
+       raise e)
   (* Read fast path: a cache hit is already durable data (fills only
      come from committed batches), so answer on the submitting thread
      with a pre-fulfilled ticket and never touch the mailbox. *)
-  match req with
-  | Get gkey when t.bypass ->
+  | Get gkey when t.bypass && Atomic.get (unresolved t gkey) = 0 ->
     (match Spp_pmemkv.Engine.cache_probe kv gkey with
      | Some v ->
        Atomic.incr t.bypassed;
@@ -554,7 +578,7 @@ let worker t i =
         (if n = 0 then ()
          else if already_failed then
            (* dead primary, not yet promoted: nothing to execute on *)
-           resolve box hist nfailed items n (fun _ -> Failed Failed_over)
+           resolve t box hist nfailed items n (fun _ -> Failed Failed_over)
          else begin
           (* re-resolve the stack each drain: [promote] may have swapped
              it since the last one *)
@@ -574,12 +598,12 @@ let worker t i =
               Mutex.lock box.mu;
               box.failed <- true;
               Mutex.unlock box.mu;
-              resolve box hist nfailed items n (fun _ -> Failed Failed_over)
+              resolve t box hist nfailed items n (fun _ -> Failed Failed_over)
             end
             else
               (* the op's own failure: the abandoned batch staged only
                  volatile state, so the shard keeps serving *)
-              resolve box hist nfailed items n
+              resolve t box hist nfailed items n
                 (fun _ -> Failed (Op_raised (Printexc.to_string e)))
           | replies ->
             busy := !busy +. (Spp_benchlib.Bench_util.now_mono () -. t0);
@@ -590,7 +614,7 @@ let worker t i =
               Mutex.lock box.mu;
               box.failed <- true;
               Mutex.unlock box.mu;
-              resolve box hist nfailed items n (fun _ -> Failed Failed_over)
+              resolve t box hist nfailed items n (fun _ -> Failed Failed_over)
             end
             else begin
               (* gate the acks on the replication policy *)
@@ -599,7 +623,7 @@ let worker t i =
                  Replica.heartbeat g;
                  Replica.wait_acks g
                | _ -> ());
-              resolve box hist nfailed items n
+              resolve t box hist nfailed items n
                 (fun j -> of_engine_reply replies.(j));
               ops := !ops + n;
               incr batches;
@@ -661,6 +685,7 @@ let create ?(batch_cap = 32) ?(adaptive = true) ?(autostart = true)
          keeps every request on the mailbox path. *)
       bypass = adaptive && Shard.cache_enabled store;
       bypassed = Atomic.make 0;
+      unresolved = Array.init unresolved_buckets (fun _ -> Atomic.make 0);
       promotions = Atomic.make 0;
       mig_mu = Mutex.create ();
       slot_ops = Array.init (Shard.nslots store) (fun _ -> Atomic.make 0);

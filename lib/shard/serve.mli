@@ -22,7 +22,12 @@
     hit is durable data) and every mutation invalidates its key at
     submission time, before it becomes visible in the mailbox, so a
     client that pipelines a put and then a get of the same key can
-    never be answered from ahead of its own write. Deterministic mode
+    never be answered from ahead of its own write. A get also skips the
+    cache while any mutation of its key (or of a key sharing its
+    counter bucket) is submitted but not yet resolved: an earlier
+    batch's post-commit fill may land after the invalidation, and the
+    get queues behind the mutation instead of reading that older value.
+    Deterministic mode
     ([adaptive = false]) disables the bypass: batch boundaries stay a
     pure function of the submitted streams and the bit-identical
     async-vs-sequential differential still holds.

@@ -3,7 +3,8 @@
    decoding at 1-byte granularity, malformed-frame rejection, the
    server/client end-to-end path over Unix and TCP loopback sockets —
    including proof that a hostile connection dies alone while the worker
-   domains keep serving — plus the YCSB generator, the load-generator
+   domains keep serving — the per-chunk reply batching on both ends of a
+   connection, plus the YCSB generator, the load-generator
    accounting, the empty-histogram contract and the atomic JSON write. *)
 
 open Spp_shard
@@ -236,12 +237,13 @@ let test_encode_rejects_oversize_key () =
 
 (* --- server/client end to end ----------------------------------------- *)
 
-let mk_store ?(engine = Spp_pmemkv.Engines.cmap) ?(nshards = 2) () =
-  Shard.create ~nbuckets:64 ~pool_size:(1 lsl 22) ~engine ~nshards
+let mk_store ?(engine = Spp_pmemkv.Engines.cmap) ?(nshards = 2)
+    ?(cache_cap = 0) () =
+  Shard.create ~nbuckets:64 ~pool_size:(1 lsl 22) ~cache_cap ~engine ~nshards
     Spp_access.Spp
 
-let with_server ?engine ?nshards ~tag f =
-  let t = mk_store ?engine ?nshards () in
+let with_server ?engine ?nshards ?cache_cap ~tag f =
+  let t = mk_store ?engine ?nshards ?cache_cap () in
   let sv = Serve.create ~batch_cap:8 t in
   let srv = Net_server.create sv (Unix.ADDR_UNIX (sock_path tag)) in
   Fun.protect
@@ -457,6 +459,249 @@ let test_domain_cap_refuses_and_recovers () =
       in
       fresh ())
 
+(* --- reply batching ------------------------------------------------------ *)
+
+let write_string fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* Pop every complete frame [next] yields from [fd] until [n] have
+   arrived; fails after 5 s instead of hanging. Returns them in arrival
+   order. *)
+let read_frames ~next fd n =
+  let dec = Wire.decoder () and buf = Bytes.create 65536 in
+  let got = ref [] and count = ref 0 in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while !count < n do
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then Alcotest.failf "only %d of %d frames within 5 s" !count n;
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> ()
+    | _ ->
+      let k = Unix.read fd buf 0 (Bytes.length buf) in
+      if k = 0 then Alcotest.failf "EOF after %d of %d frames" !count n;
+      Wire.feed dec buf ~off:0 ~len:k;
+      let popping = ref true in
+      while !popping do
+        match next dec with
+        | Wire.Msg (corr, m) ->
+          got := (corr, m) :: !got;
+          incr count
+        | Wire.Awaiting -> popping := false
+        | Wire.Corrupt m -> Alcotest.failf "corrupt frame: %s" m
+      done
+  done;
+  List.rev !got
+
+let raw_connect srv =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Net_server.addr srv);
+  fd
+
+(* The replies counter moves after the write returns, so wait for it to
+   account for the frames already read before sampling [sv_writes]. *)
+let settled_stats srv ~replies =
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec go () =
+    let st = Net_server.stats srv in
+    if st.Net_server.sv_replies >= replies then st
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "server counted %d replies, expected %d"
+        st.Net_server.sv_replies replies
+    else begin
+      Unix.sleepf 0.001;
+      go ()
+    end
+  in
+  go ()
+
+(* Put every key through the pipeline and await it: the committed
+   batch fills the read cache, so later gets are bypass hits. *)
+let warm srv kvs =
+  let sv = Net_server.serve srv in
+  List.iter
+    (fun (key, value) ->
+      match Serve.await sv (Serve.submit sv (Serve.Put { key; value })) with
+      | Serve.Done -> ()
+      | _ -> Alcotest.fail "warm-up put failed")
+    kvs
+
+(* Send [kvs]'s gets in one raw write and check every reply by its
+   correlation id. Returns the server's [sv_writes] growth. *)
+let burst_of_hits srv kvs =
+  let sv = Net_server.serve srv in
+  let n = List.length kvs in
+  let before = Net_server.stats srv and bypassed = Serve.bypassed_gets sv in
+  let fd = raw_connect srv in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let b = Buffer.create 4096 in
+      List.iteri
+        (fun i (key, _) -> Wire.encode_request b ~corr:i (Serve.Get key))
+        kvs;
+      write_string fd (Buffer.contents b);
+      let got = read_frames ~next:Wire.next_reply fd n in
+      check_int "one reply per get" n (List.length got);
+      let want = Array.of_list (List.map snd kvs) in
+      List.iter
+        (fun (corr, r) ->
+          match r with
+          | Serve.Value (Some v) when corr < n && v = want.(corr) -> ()
+          | _ -> Alcotest.failf "reply %d is not its own key's value" corr)
+        got;
+      check_int "every get was a cache hit" n (Serve.bypassed_gets sv - bypassed);
+      let after =
+        settled_stats srv ~replies:(before.Net_server.sv_replies + n)
+      in
+      after.Net_server.sv_writes - before.Net_server.sv_writes)
+
+let test_hit_chunk_one_write () =
+  with_server ~cache_cap:1024 ~tag:"chunk" (fun srv ->
+    let kvs =
+      List.init 64 (fun i -> (Printf.sprintf "hot%03d" i, Printf.sprintf "v%d" i))
+    in
+    warm srv kvs;
+    let writes = burst_of_hits srv kvs in
+    check_bool
+      (Printf.sprintf "64 hits in one chunk took %d writes (<= 2)" writes)
+      true (writes <= 2))
+
+let test_hit_burst_flush_bound () =
+  with_server ~cache_cap:1024 ~tag:"burst" (fun srv ->
+    let kvs =
+      List.init 256 (fun i ->
+        (Printf.sprintf "big%03d" i,
+         Printf.sprintf "%04d" i ^ String.make 4092 (Char.chr (97 + (i mod 26)))))
+    in
+    warm srv kvs;
+    let writes = burst_of_hits srv kvs in
+    (* 1 MiB of replies through a 64 KiB outbox *)
+    check_bool
+      (Printf.sprintf "256 x 4 KiB hits took %d writes (>= 16)" writes)
+      true (writes >= 16))
+
+(* The outbox on a bare socket pair: staged bytes and storage stay
+   within the cap frame by frame, an oversized frame stretches the
+   storage only until its flush, and every frame reaches the peer. *)
+let test_outbox_bounds () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let total = 257 in
+  let peer = Domain.spawn (fun () -> read_frames ~next:Wire.next_reply b total) in
+  let writes = Atomic.make 0 and replies = Atomic.make 0 in
+  let module O = Net_server.Outbox in
+  let ob = O.create a (Mutex.create ()) ~writes ~replies in
+  let within = ref true in
+  let v = String.make 4096 'x' in
+  for corr = 0 to 255 do
+    O.stage ob ~corr (Serve.Value (Some v));
+    if O.pending ob > O.cap || O.retained ob > O.cap then within := false
+  done;
+  check_bool "staged bytes and storage stay within the cap" true !within;
+  O.flush ob;
+  check_int "flush empties the outbox" 0 (O.pending ob);
+  O.stage ob ~corr:256 (Serve.Value (Some (String.make (3 * O.cap) 'y')));
+  check_bool "an oversized frame stretches the storage" true
+    (O.retained ob > O.cap);
+  O.flush ob;
+  check_bool "storage is back within the cap after the flush" true
+    (O.retained ob <= O.cap);
+  check_int "every frame counted" total (Atomic.get replies);
+  check_bool
+    (Printf.sprintf "%d writes, each at most the cap" (Atomic.get writes))
+    true (Atomic.get writes >= 16 + 3);
+  let got = Domain.join peer in
+  Unix.close a;
+  Unix.close b;
+  check_bool "peer decoded every frame in order" true
+    (List.mapi (fun i (corr, _) -> corr = i) got |> List.for_all Fun.id)
+
+(* A test-owned listener stands in for the server and answers out of
+   order: several frames in one write, then one frame torn across two
+   writes, then the rest. Each future must resolve to its own reply,
+   completion stamps must not go backwards along the arrival order, and
+   a corrupt frame must still fail everything pending, typed. *)
+let test_client_resolves_chunks () =
+  let path = sock_path "fake" in
+  (try Unix.unlink path with _ -> ());
+  let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_UNIX path);
+  Unix.listen lsock 1;
+  let cl = Net_client.connect (Unix.ADDR_UNIX path) in
+  let fd, _ = Unix.accept lsock in
+  Fun.protect
+    ~finally:(fun () ->
+      Net_client.close cl;
+      Unix.close fd;
+      Unix.close lsock;
+      try Unix.unlink path with _ -> ())
+    (fun () ->
+      let reply_frame (corr, req) =
+        let b = Buffer.create 64 in
+        (match req with
+         | Serve.Get key -> Wire.encode_reply b ~corr (Serve.Value (Some ("v-" ^ key)))
+         | _ -> Alcotest.fail "fake server expects gets");
+        Buffer.contents b
+      in
+      let n = 8 in
+      let key i = Printf.sprintf "k%d" i in
+      let futs = Array.init n (fun i -> Net_client.send cl (Serve.Get (key i))) in
+      let reqs = read_frames ~next:Wire.next_request fd n in
+      let order = List.rev reqs in
+      let first = List.filteri (fun i _ -> i < 5) order
+      and torn = List.nth order 5
+      and tail = List.filteri (fun i _ -> i > 5) order in
+      write_string fd (String.concat "" (List.map reply_frame first));
+      let f = reply_frame torn in
+      let h = String.length f / 2 in
+      write_string fd (String.sub f 0 h);
+      Unix.sleepf 0.02;
+      write_string fd (String.sub f h (String.length f - h));
+      write_string fd (String.concat "" (List.map reply_frame tail));
+      Array.iteri
+        (fun i fu ->
+          match Net_client.await cl fu with
+          | Serve.Value (Some v) -> check_string "own reply" ("v-" ^ key i) v
+          | _ -> Alcotest.fail "reply shape")
+        futs;
+      let index = function
+        | Serve.Get k -> int_of_string (String.sub k 1 (String.length k - 1))
+        | _ -> assert false
+      in
+      let stamps =
+        List.map (fun (_, req) -> Net_client.done_at futs.(index req)) order
+      in
+      let rec nondecreasing = function
+        | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+        | _ -> true
+      in
+      check_bool "done_at never decreases along arrival order" true
+        (nondecreasing stamps);
+      check_int "nothing left in flight" 0 (Net_client.inflight cl);
+      (* one good frame, then a corrupt one, in a single write *)
+      let more = Array.init 3 (fun i -> Net_client.send cl (Serve.Get ("m" ^ key i))) in
+      (match read_frames ~next:Wire.next_request fd 3 with
+       | good :: next :: _ ->
+         let bad = Bytes.of_string (reply_frame next) in
+         Bytes.set bad 8 '\x7f';
+         write_string fd (reply_frame good ^ Bytes.to_string bad)
+       | _ -> Alcotest.fail "fake server read too few requests");
+      (match Net_client.await cl more.(0) with
+       | Serve.Value (Some "v-mk0") -> ()
+       | _ -> Alcotest.fail "frame ahead of the corrupt one not resolved");
+      Array.iteri
+        (fun i fu ->
+          if i > 0 then
+            match Net_client.await cl fu with
+            | Serve.Failed (Serve.Op_raised "connection lost") -> ()
+            | _ -> Alcotest.fail "pending future not failed typed")
+        more;
+      check_int "nothing left in flight after the corrupt frame" 0
+        (Net_client.inflight cl))
+
 let test_parse_addr () =
   (match Net_server.parse_addr "unix:/tmp/x.sock" with
    | Unix.ADDR_UNIX p -> check_string "unix path" "/tmp/x.sock" p
@@ -634,6 +879,17 @@ let () =
           Alcotest.test_case "domain cap closes, acceptor survives" `Quick
             test_domain_cap_refuses_and_recovers;
           Alcotest.test_case "parse_addr" `Quick test_parse_addr;
+        ] );
+      ( "batching",
+        [
+          Alcotest.test_case "a chunk of cache hits is one write" `Quick
+            test_hit_chunk_one_write;
+          Alcotest.test_case "a 1 MiB burst of hits flushes at the cap"
+            `Quick test_hit_burst_flush_bound;
+          Alcotest.test_case "outbox stays within its cap" `Quick
+            test_outbox_bounds;
+          Alcotest.test_case "client resolves a chunk at once" `Quick
+            test_client_resolves_chunks;
         ] );
       ( "loadgen",
         [

@@ -534,6 +534,41 @@ let test_serve_bypass_fast_path () =
   let s = Serve.cache_stats serve in
   check_bool "cache stats exposed" true (s.Rcache.rc_fills > 0)
 
+(* The late-fill race, made deterministic: a batch's post-commit cache
+   fill of an older value can land after a newer put's submission-time
+   invalidation. Re-inserting the old value by hand while the put is
+   still queued stands in for that fill; a get submitted now must not
+   be answered from the cache, and must return the newer write. *)
+let test_serve_bypass_skips_unresolved_writes () =
+  let t = build_serve_store ~cache_cap:256 () in
+  let key = Spp_pmemkv.Db_bench.key_of_int 3 in
+  Shard.put t ~key ~value:"v1";
+  let serve = Serve.create ~batch_cap:8 ~adaptive:true ~autostart:false t in
+  let tk_put = Serve.submit serve (Serve.Put { key; value = "v2" }) in
+  let rc =
+    match Engine.cache (Shard.shard_kv (Shard.shard t (Shard.route t key)))
+    with
+    | Some rc -> rc
+    | None -> Alcotest.fail "store has no read cache"
+  in
+  Rcache.insert rc key "v1";
+  let tk_get = Serve.submit serve (Serve.Get key) in
+  check_bool "get behind an unresolved put is not pre-fulfilled" true
+    (Serve.peek tk_get = None);
+  Serve.start serve;
+  (match Serve.await serve tk_get with
+   | Serve.Value (Some "v2") -> ()
+   | Serve.Value v ->
+     Alcotest.failf "get saw %s, not the queued write"
+       (Option.value v ~default:"None")
+   | _ -> Alcotest.fail "reply shape");
+  check_bool "put acked" true (Serve.await serve tk_put = Serve.Done);
+  (* resolved: the counter is back at zero and the bypass serves again *)
+  check_bool "bypass resumes once the put resolved" true
+    (Serve.peek (Serve.submit serve (Serve.Get key))
+     = Some (Serve.Value (Some "v2")));
+  Serve.stop serve
+
 (* Deterministic mode must ignore the cache: no bypass, and the async
    run stays bit-identical to the uncached sequential baseline. *)
 let test_cache_deterministic_mode () =
@@ -1273,6 +1308,8 @@ let () =
             test_run_sequential_use_cache_off;
           Alcotest.test_case "bypass fast path + read-your-writes" `Quick
             test_serve_bypass_fast_path;
+          Alcotest.test_case "bypass skips keys with unresolved writes"
+            `Quick test_serve_bypass_skips_unresolved_writes;
           Alcotest.test_case "deterministic mode ignores the cache" `Quick
             test_cache_deterministic_mode;
         ] );
